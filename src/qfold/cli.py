@@ -16,7 +16,7 @@ import jsonschema
 
 from . import verify as verify_mod
 from .folding import InvalidQuiverError, fold, quiver_from_json
-from .initquiver import build_initial_quiver, fold_exchange_matrix, quiver_to_dot
+from .initquiver import fold_exchange_matrix, quiver_to_dot
 from .qcluster import (
     CompatibilityError,
     TorusDivisionError,
@@ -90,8 +90,15 @@ def _require(config, key):
     return config[key]
 
 
-def _normalize_word(word):
-    return tuple(tuple(x) if isinstance(x, list) else x for x in word)
+def _word(config, datum, quiver):
+    """The config's word over the datum's indices; a letter outside them
+    is an input error."""
+    word = tuple(tuple(x) if isinstance(x, list) else x
+                 for x in _require(config, "word"))
+    try:
+        return verify_mod._orbit_word(datum, quiver, word)
+    except KeyError as exc:
+        raise InputError(exc.args[0]) from exc
 
 
 def _resolved(config):
@@ -122,8 +129,7 @@ def cmd_fold(config, args):
 
 def cmd_roots(config, args):
     (datum, quiver), _ = _resolved(config)
-    word = verify_mod._orbit_word(datum, quiver,
-                                  _normalize_word(_require(config, "word")))
+    word = _word(config, datum, quiver)
     betas = inversion_roots(datum, word)
     _emit({"word": [list(x) if isinstance(x, tuple) else x for x in word],
            "reduced": is_reduced(datum, word),
@@ -133,17 +139,7 @@ def cmd_roots(config, args):
 
 def _staircase(config):
     (datum, quiver), _ = _resolved(config)
-    word = verify_mod._orbit_word(datum, quiver,
-                                  _normalize_word(_require(config, "word")))
-    if quiver is not None:
-        from .folding import underlying_datum
-        from .initquiver import vertex_orbits_from_unfolding
-        unfolded, orbits, _ = vertex_orbits_from_unfolding(word, quiver)
-        ice = build_initial_quiver(unfolded, underlying_datum(quiver))
-        return ice, orbits
-    if not is_reduced(datum, word):
-        raise InputError("word %r is not reduced" % (word,))
-    return build_initial_quiver(word, datum), None
+    return verify_mod.staircase(datum, _word(config, datum, quiver), quiver)
 
 
 def cmd_initquiver(config, args):
@@ -165,7 +161,7 @@ def cmd_initquiver(config, args):
 
 def _seed(config):
     (datum, quiver), _ = _resolved(config)
-    word = _normalize_word(_require(config, "word"))
+    word = _word(config, datum, quiver)
     try:
         seed, minors = build_seed(datum, word, quiver)
     except (ValueError, verify_mod.QCommutationFailure,
@@ -229,8 +225,7 @@ def cmd_verify(config, args):
             entries = entries + verify_mod.load_catalog("catalog_slow.json")
     reports = []
     for entry in entries:
-        if args.max_steps is not None and "bound" in entry:
-            entry = dict(entry, bound=min(entry["bound"], args.max_steps))
+        entry = verify_mod.bounded_entry(entry, args.max_steps)
         try:
             report = verify_mod.run_check(entry)
         except Exception as exc:  # surface as a failing report, CI-friendly

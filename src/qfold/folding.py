@@ -65,6 +65,13 @@ class QuiverWithAut:
             orbits.append(tuple(sorted(orbit)))
         return sorted(orbits, key=lambda o: o[0])
 
+    def orbit_lookup(self) -> dict:
+        """{letter: orbit} for every orbit and every vertex of one."""
+        orbits = self.orbits()
+        lookup = {orbit: orbit for orbit in orbits}
+        lookup.update((v, orbit) for orbit in orbits for v in orbit)
+        return lookup
+
     def order(self) -> int:
         n = 1
         for orbit in self.orbits():
@@ -105,10 +112,7 @@ def validate(quiver: QuiverWithAut):
         violations.append(Violation(
             "edges-not-preserved",
             "the vertex permutation does not permute the edge multiset"))
-    orbit_of = {}
-    for orbit in quiver.orbits():
-        for v in orbit:
-            orbit_of[v] = orbit
+    orbit_of = quiver.orbit_lookup()
     for s, t in quiver.edges:
         if orbit_of[s] == orbit_of[t]:
             violations.append(Violation(
@@ -125,12 +129,6 @@ class FoldedCartan:
     pairing: tuple
     datum: CartanDatum
 
-    def orbit_of(self, vertex):
-        for orbit in self.orbits:
-            if vertex in orbit:
-                return orbit
-        raise KeyError("vertex %r not in any orbit" % (vertex,))
-
 
 def fold(quiver: QuiverWithAut) -> FoldedCartan:
     """Fold an admissible quiver with automorphism into a Cartan datum.
@@ -141,10 +139,7 @@ def fold(quiver: QuiverWithAut) -> FoldedCartan:
     if violations:
         raise InvalidQuiverError("; ".join(str(v) for v in violations))
     orbits = quiver.orbits()
-    orbit_of = {}
-    for orbit in orbits:
-        for v in orbit:
-            orbit_of[v] = orbit
+    orbit_of = quiver.orbit_lookup()
     m = len(orbits)
     index = {orbit: r for r, orbit in enumerate(orbits)}
     pairing = [[0] * m for _ in range(m)]
@@ -184,38 +179,31 @@ def underlying_datum(quiver: QuiverWithAut) -> CartanDatum:
     return CartanDatum(verts, tuple(tuple(row) for row in cartan), (1,) * n)
 
 
-def unfold_word(word, quiver: QuiverWithAut):
-    """Expand a word over orbits to a word over vertices.
-
-    Each letter (an orbit tuple, or any vertex standing for its orbit) is
-    replaced by the orbit's vertices in ascending order.  The mathematical
-    content does not depend on that order; the fixed convention keeps
-    downstream quivers reproducible.
-    """
-    orbits = quiver.orbits()
-    known = {orbit: orbit for orbit in orbits}
-    for orbit in orbits:
-        for v in orbit:
-            known[v] = orbit
-    out = []
+def orbit_word(word, quiver: QuiverWithAut):
+    """The orbits a word names: each letter is an orbit tuple, or any vertex
+    standing for its orbit.  Raises KeyError for any other letter."""
+    known = quiver.orbit_lookup()
     for letter in word:
         if letter not in known:
             raise KeyError("letter %r is not an orbit of the automorphism" % (letter,))
-        out.extend(known[letter])
-    return tuple(out)
+    return tuple(known[letter] for letter in word)
+
+
+def unfold_word(word, quiver: QuiverWithAut):
+    """Expand a word over orbits to a word over vertices.
+
+    Each letter is replaced by its orbit's vertices in ascending order.  The
+    mathematical content does not depend on that order; the fixed
+    convention keeps downstream quivers reproducible.
+    """
+    return tuple(v for orbit in orbit_word(word, quiver) for v in orbit)
 
 
 def unfolded_blocks(word, quiver: QuiverWithAut):
     """Position blocks of the unfolded word: one (orbit, [positions]) per letter."""
-    orbits = quiver.orbits()
-    known = {orbit: orbit for orbit in orbits}
-    for orbit in orbits:
-        for v in orbit:
-            known[v] = orbit
     blocks = []
     pos = 1
-    for letter in word:
-        orbit = known[letter]
+    for orbit in orbit_word(word, quiver):
         blocks.append((orbit, list(range(pos, pos + len(orbit)))))
         pos += len(orbit)
     return blocks

@@ -73,18 +73,6 @@ class LaurentScalar:
     def is_monomial(self) -> bool:
         return len(self._terms) == 1
 
-    def monomial_exponent(self) -> int:
-        """Exponent k of a scalar of the form c*q^k (requires a monomial)."""
-        if len(self._terms) != 1:
-            raise ValueError("not a monomial: %s" % self)
-        return self._terms[0][0]
-
-    def coefficient(self, k: int) -> Fraction:
-        for e, c in self._terms:
-            if e == k:
-                return c
-        return Fraction(0)
-
     def max_exponent(self) -> int:
         if not self._terms:
             raise ValueError("zero polynomial has no degree")
@@ -285,6 +273,54 @@ def q_binomial(n: int, k: int, d: int = 1) -> LaurentScalar:
 def bar(x: LaurentScalar) -> LaurentScalar:
     """Free-standing bar involution (exponent negation)."""
     return _coerce(x).bar()
+
+
+# Term dicts {key: LaurentScalar} with no zero values store the coefficients
+# of shuffle elements (keyed by words) and torus elements (exponent vectors).
+
+
+def add_terms(x: dict, y: dict) -> dict:
+    """The term-by-term sum of two term dicts, zero sums dropped."""
+    acc = dict(x)
+    for key, c in y.items():
+        v = acc.get(key, ZERO) + c
+        if v:
+            acc[key] = v
+        else:
+            acc.pop(key, None)
+    return acc
+
+
+def scale_terms(x: dict, scalar) -> dict:
+    """Every term of x multiplied by a Laurent (or rational) scalar."""
+    scalar = _coerce(scalar)
+    if not scalar:
+        return {}
+    return {key: c * scalar for key, c in x.items()}
+
+
+def qpower_ratio(num: dict, den: dict):
+    """The integer m with num == q^m * den term by term, or None.
+
+    Two zero (empty) dicts give 0; zero against nonzero gives None.
+    """
+    if not num or not den:
+        return None if num or den else 0
+    key = next(iter(den))
+    target = num.get(key)
+    if target is None or len(num) != len(den):
+        return None
+    try:
+        ratio = target.divexact(den[key])
+    except LaurentDivisionError:
+        return None
+    if len(ratio.terms) != 1 or ratio.terms[0][1] != 1:
+        return None
+    m = ratio.terms[0][0]
+    power = LaurentScalar.q_power(m)
+    if all(num.get(k) == c * power for k, c in den.items()):
+        return m
+    return None
 
 
 _TERM_RE = re.compile(

@@ -14,7 +14,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .laurent import ONE, ZERO, LaurentScalar
+from .laurent import (
+    ONE,
+    ZERO,
+    LaurentDivisionError,
+    LaurentScalar,
+    add_terms,
+    qpower_ratio,
+    scale_terms,
+)
 from .rootdata import Root, bilinear_form
 
 
@@ -216,23 +224,13 @@ class TorusElement:
         return len(self.terms) == 1
 
     def __add__(self, other):
-        acc = dict(self.terms)
-        for k, v in other.terms.items():
-            s = acc.get(k, ZERO) + v
-            if s:
-                acc[k] = s
-            else:
-                acc.pop(k, None)
-        return TorusElement(self.torus, acc)
+        return TorusElement(self.torus, add_terms(self.terms, other.terms))
 
     def __sub__(self, other):
         return self + other.scale(-ONE)
 
     def scale(self, scalar) -> "TorusElement":
-        scalar = scalar if isinstance(scalar, LaurentScalar) \
-            else LaurentScalar.from_rational(scalar)
-        return TorusElement(self.torus,
-                            {k: v * scalar for k, v in self.terms.items()})
+        return TorusElement(self.torus, scale_terms(self.terms, scalar))
 
     def __mul__(self, other) -> "TorusElement":
         acc = {}
@@ -327,7 +325,7 @@ def left_divide(divisor: TorusElement, dividend: TorusElement,
         try:
             coeff = cu.divexact(
                 c0 * LaurentScalar.q_power(torus.sigma(v0, t_exp)))
-        except Exception as exc:
+        except LaurentDivisionError as exc:
             raise TorusDivisionError("leading coefficient not divisible") from exc
         term = TorusElement(torus, {t_exp: coeff})
         quotient[t_exp] = quotient.get(t_exp, ZERO) + coeff
@@ -337,24 +335,7 @@ def left_divide(divisor: TorusElement, dividend: TorusElement,
 
 def torus_qcommute(x: TorusElement, y: TorusElement):
     """The integer m with x y = q^m y x, or None."""
-    xy = x * y
-    yx = y * x
-    if xy.is_zero() and yx.is_zero():
-        return 0
-    key = next(iter(yx.terms))
-    target = xy.terms.get(key)
-    if target is None:
-        return None
-    try:
-        ratio = target.divexact(yx.terms[key])
-    except Exception:
-        return None
-    if not ratio.is_monomial() or ratio.coefficient(ratio.monomial_exponent()) != 1:
-        return None
-    m = ratio.monomial_exponent()
-    if xy == yx.scale(LaurentScalar.q_power(m)):
-        return m
-    return None
+    return qpower_ratio((x * y).terms, (y * x).terms)
 
 
 # ---------------------------------------------------------------------------
@@ -412,33 +393,39 @@ def initial_seed(pair: CompatiblePair, degrees) -> QuantumSeed:
     return QuantumSeed(pair, dict(degrees), variables, torus)
 
 
-def normalized_monomial(a, seed: QuantumSeed) -> TorusElement:
-    """The bar-invariant normalized monomial Y^a in the seed's variables.
-
-    The q-power prefactor has exponent P/4 with
+def monomial_prefactor(a: dict, labels, degrees, lam) -> int:
+    """The exponent P/4 of the q-power prefactor of the normalized monomial
+    Y^a over ordered labels, with degrees d and q-commutation matrix lam:
     P = (sum a_i d_i, sum a_i d_i) - sum a_i (d_i, d_i)
         + 2 sum_{i>j} a_i a_j lambda_ij;
-    the parity condition lambda_ij = (d_i, d_j) mod 2 makes P divisible by 4,
-    and the result does not depend on the ordering of S.
+    the parity condition lambda_ij = (d_i, d_j) mod 2 makes P divisible by 4
+    (ParityError otherwise), and the result does not depend on the ordering.
     """
+    datum = next(iter(degrees.values())).datum
+    total = Root(datum, (0,) * datum.rank)
+    for s in labels:
+        total = total + a[s] * degrees[s]
+    p = bilinear_form(total, total)
+    for s in labels:
+        p -= a[s] * bilinear_form(degrees[s], degrees[s])
+    for i in range(len(labels)):
+        for j in range(i):
+            p += 2 * a[labels[i]] * a[labels[j]] * lam[i][j]
+    if p % 4:
+        raise ParityError("prefactor exponent %d is not divisible by 4" % p)
+    return p // 4
+
+
+def normalized_monomial(a, seed: QuantumSeed) -> TorusElement:
+    """The bar-invariant normalized monomial Y^a in the seed's variables,
+    with the q-power prefactor of monomial_prefactor."""
     labels = seed.pair.labels
     a = {s: int(a[s]) if isinstance(a, dict) else int(a[labels.index(s)])
          for s in labels}
     if any(v < 0 for v in a.values()):
         raise ValueError("monomial exponents must be nonnegative")
-    datum = next(iter(seed.degrees.values())).datum
-    total = Root(datum, (0,) * datum.rank)
-    for s in labels:
-        total = total + a[s] * seed.degrees[s]
-    p = bilinear_form(total, total)
-    for s in labels:
-        p -= a[s] * bilinear_form(seed.degrees[s], seed.degrees[s])
-    for i in range(len(labels)):
-        for j in range(i):
-            p += 2 * a[labels[i]] * a[labels[j]] * seed.pair.lam[i][j]
-    if p % 4:
-        raise ParityError("prefactor exponent %d is not divisible by 4" % p)
-    result = seed.torus.unit().scale(LaurentScalar.q_power(p // 4))
+    p4 = monomial_prefactor(a, labels, seed.degrees, seed.pair.lam)
+    result = seed.torus.unit().scale(LaurentScalar.q_power(p4))
     for s in labels:
         if a[s]:
             result = result * seed.variables[s] ** a[s]
@@ -448,23 +435,19 @@ def normalized_monomial(a, seed: QuantumSeed) -> TorusElement:
 def bar_defect(x: TorusElement):
     """The integer m with bar(x) = q^m x, or None when x is not a q-power
     multiple of a self-dual element."""
-    if x.is_zero():
-        return 0
-    barred = x.bar()
-    exp, coeff = next(iter(x.terms.items()))
-    other = barred.terms.get(exp)
-    if other is None:
-        return None
-    try:
-        ratio = other.divexact(coeff)
-    except Exception:
-        return None
-    if not ratio.is_monomial() or ratio.coefficient(ratio.monomial_exponent()) != 1:
-        return None
-    m = ratio.monomial_exponent()
-    if barred == x.scale(LaurentScalar.q_power(m)):
-        return m
-    return None
+    return qpower_ratio(x.bar().terms, x.terms)
+
+
+def exchange_monomials(pair: CompatiblePair, k):
+    """(a+, a-, e_k) of direction k: the positive and negative parts of
+    column k of B as {label: exponent}, and e_k from Lambda B = -2E.  Raises
+    CompatibilityError or, for a frozen direction, KeyError."""
+    e = check_compatible(pair)
+    if k not in e:
+        raise KeyError("direction %r is frozen" % (k,))
+    column = {t: pair.b_entry(t, k) for t in pair.labels}
+    return ({t: max(b, 0) for t, b in column.items()},
+            {t: max(-b, 0) for t, b in column.items()}, e[k])
 
 
 def mutate_seed(seed: QuantumSeed, k) -> QuantumSeed:
@@ -478,14 +461,9 @@ def mutate_seed(seed: QuantumSeed, k) -> QuantumSeed:
     categorified sequence carries a grading twist), and self-duality of
     cluster variables is the invariant that pins the normalization.
     """
-    if k not in seed.pair.exchangeable:
-        raise KeyError("direction %r is frozen" % (k,))
-    e = check_compatible(seed.pair)
-    labels = seed.pair.labels
-    a_plus = {t: max(seed.pair.b_entry(t, k), 0) for t in labels}
-    a_minus = {t: max(-seed.pair.b_entry(t, k), 0) for t in labels}
+    a_plus, a_minus, e_k = exchange_monomials(seed.pair, k)
     rhs = normalized_monomial(a_plus, seed) \
-        + normalized_monomial(a_minus, seed).scale(LaurentScalar.q_power(e[k]))
+        + normalized_monomial(a_minus, seed).scale(LaurentScalar.q_power(e_k))
     new_var = left_divide(seed.variables[k], rhs)
     defect = bar_defect(new_var)
     if defect is None or defect % 2:
@@ -496,7 +474,7 @@ def mutate_seed(seed: QuantumSeed, k) -> QuantumSeed:
         new_var = new_var.scale(LaurentScalar.q_power(defect // 2))
     datum = seed.degrees[k].datum
     new_degree = Root(datum, (0,) * datum.rank)
-    for t in labels:
+    for t in seed.pair.labels:
         new_degree = new_degree + a_plus[t] * seed.degrees[t]
     new_degree = new_degree - seed.degrees[k]
     degrees = dict(seed.degrees)

@@ -22,8 +22,12 @@ from .laurent import (
     ZERO,
     LaurentDivisionError,
     LaurentScalar,
+    add_terms,
+    q_binomial,
     q_factorial,
     q_int,
+    qpower_ratio,
+    scale_terms,
 )
 from .rootdata import (
     Root,
@@ -75,7 +79,7 @@ class OracleContext:
         i, c = letter
         if word and word[0][0] == i:
             c2 = word[0][1]
-            coeff = coeff * _q_binom(c + c2, c, self.datum.d(i))
+            coeff = coeff * q_binomial(c + c2, c, self.datum.d(i))
             word = ((i, c + c2),) + word[1:]
         else:
             word = (letter,) + word
@@ -149,13 +153,6 @@ class OracleContext:
                 result = result + coeff * self.pair(lam, x_rest, word)
         self._pair[key] = result
         return result
-
-
-def _q_binom(n, k, d):
-    num = ONE
-    for m in range(n - k + 1, n + 1):
-        num = num * q_int(m, d)
-    return num.divexact(q_factorial(k, d))
 
 
 def shapovalov(x: FWord, y: FWord, context: OracleContext | None = None) -> LaurentScalar:
@@ -232,24 +229,16 @@ class ShuffleElement:
             raise TypeError("elements live over different Cartan data")
         if not (self.is_zero() or other.is_zero()) and self.weight != other.weight:
             raise ValueError("cannot add elements of different weights")
-        acc = dict(self.terms)
-        for w, c in other.terms.items():
-            v = acc.get(w, ZERO) + c
-            if v:
-                acc[w] = v
-            else:
-                acc.pop(w, None)
         weight = other.weight if self.is_zero() else self.weight
-        return ShuffleElement(self.datum, weight, acc)
+        return ShuffleElement(self.datum, weight,
+                              add_terms(self.terms, other.terms))
 
     def __sub__(self, other):
         return self + other.scale(-ONE)
 
     def scale(self, scalar) -> "ShuffleElement":
-        scalar = scalar if isinstance(scalar, LaurentScalar) else \
-            LaurentScalar.from_rational(scalar)
         return ShuffleElement(self.datum, self.weight,
-                              {w: c * scalar for w, c in self.terms.items()})
+                              scale_terms(self.terms, scalar))
 
     def __str__(self):
         if self.is_zero():
@@ -430,36 +419,12 @@ def extremal_word(x: ShuffleElement):
     return word, runs
 
 
-class QCommutationFailure(Exception):
-    """The two products are not proportional by a power of q."""
-
-
 def qcommute_exponent(x: ShuffleElement, y: ShuffleElement):
     """The integer m with x*y = q^m y*x, or None when no such integer exists."""
     if x.is_zero() or y.is_zero():
         raise ValueError("q-commutation needs nonzero elements")
-    xy = shuffle_product(x, y)
-    yx = shuffle_product(y, x)
-    if xy.is_zero() and yx.is_zero():
-        return 0
-    if xy.is_zero() != yx.is_zero():
-        return None
-    word = next(iter(yx.terms))
-    target = xy.terms.get(word)
-    if target is None:
-        return None
-    try:
-        ratio = target.divexact(yx.terms[word])
-    except Exception:
-        return None
-    if not ratio.is_monomial() or ratio.coefficient(ratio.monomial_exponent()) != 1:
-        return None
-    m = ratio.monomial_exponent()
-    power = LaurentScalar.q_power(m)
-    if all(xy.terms.get(w, ZERO) == c * power for w, c in yx.terms.items()) \
-            and len(xy.terms) == len(yx.terms):
-        return m
-    return None
+    return qpower_ratio(shuffle_product(x, y).terms,
+                        shuffle_product(y, x).terms)
 
 
 class ShuffleDivisionError(ArithmeticError):
@@ -604,15 +569,7 @@ def minor_to_shuffle(spec: MinorSpec, context: OracleContext | None = None) -> S
     for word in words_of_weight(datum, nu):
         terms = {v_mu.letters: ONE}
         for letter in reversed(word):
-            nxt = {}
-            for fword, coeff in terms.items():
-                for w2, c2 in context.apply_e(spec.lam, letter, fword).items():
-                    v = nxt.get(w2, ZERO) + coeff * c2
-                    if v:
-                        nxt[w2] = v
-                    else:
-                        nxt.pop(w2, None)
-            terms = nxt
+            terms = context.apply_e_power(spec.lam, letter, 1, terms)
             if not terms:
                 break
         value = ZERO

@@ -14,21 +14,22 @@ import json
 from dataclasses import dataclass, field
 from importlib import resources
 
-from .folding import QuiverWithAut, fold, quiver_from_json, underlying_datum
+from .folding import fold, orbit_word, quiver_from_json, underlying_datum
 from .initquiver import (
     build_initial_quiver,
     fold_exchange_matrix,
     initial_cluster_variables,
     vertex_orbits_from_unfolding,
 )
-from .laurent import ONE, LaurentScalar, q_factorial
+from .laurent import ONE, LaurentScalar, q_factorial, qpower_ratio
 from .qcluster import (
     CompatiblePair,
     CompatibilityError,
     check_compatible,
     enumerate_exchange_graph,
+    exchange_monomials,
     initial_seed,
-    mutate_seed,
+    monomial_prefactor,
 )
 from .rootdata import (
     apply_word,
@@ -104,15 +105,13 @@ def resolve_input(spec: dict):
 
 
 def _orbit_word(datum, quiver, word):
-    """Normalize word letters to the datum's index labels."""
-    if quiver is None:
-        return tuple(word)
-    lookup = {}
-    for orbit in datum.indices:
-        lookup[orbit] = orbit
-        for v in orbit:
-            lookup[v] = orbit
-    return tuple(lookup[letter] for letter in word)
+    """Normalize word letters to the datum's index labels; KeyError for a
+    letter outside them."""
+    if quiver is not None:
+        return orbit_word(word, quiver)
+    for letter in word:
+        datum.pos(letter)
+    return tuple(word)
 
 
 def oracle_seed_data(datum, word, quiver=None, context=None):
@@ -144,16 +143,20 @@ def oracle_seed_data(datum, word, quiver=None, context=None):
                 raise QCommutationFailure(a + 1, b + 1)
             lam[a][b] = m
             lam[b][a] = -m
-    if quiver is None:
-        ice = build_initial_quiver(word, datum)
-        exchange = fold_exchange_matrix(ice)
-    else:
-        unfolded, orbits, perm = vertex_orbits_from_unfolding(word, quiver)
-        ice = build_initial_quiver(unfolded, underlying_datum(quiver))
-        exchange = fold_exchange_matrix(ice, orbits)
+    ice, orbits = staircase(datum, word, quiver)
+    exchange = fold_exchange_matrix(ice, orbits)
     degrees = {t + 1: minors[t + 1].weight for t in range(n)}
     return tuple(range(1, n + 1)), minors, \
         tuple(tuple(r) for r in lam), exchange, degrees
+
+
+def staircase(datum, word, quiver=None):
+    """(staircase quiver, position orbits to sum it over) of a word; with a
+    quiver with automorphism the staircase is built on the unfolded word."""
+    if quiver is None:
+        return build_initial_quiver(word, datum), None
+    unfolded, orbits, _ = vertex_orbits_from_unfolding(word, quiver)
+    return build_initial_quiver(unfolded, underlying_datum(quiver)), orbits
 
 
 class QCommutationFailure(Exception):
@@ -215,22 +218,23 @@ def normalized_shuffle_monomial(a, labels, variables, degrees, lam) \
         -> ShuffleElement:
     """The normalized monomial Y^a realized with shuffle products."""
     datum = next(iter(variables.values())).datum
-    total = datum.root((0,) * datum.rank)
-    for s in labels:
-        total = total + a[s] * degrees[s]
-    p = bilinear_form(total, total)
-    for s in labels:
-        p -= a[s] * bilinear_form(degrees[s], degrees[s])
-    for i in range(len(labels)):
-        for j in range(i):
-            p += 2 * a[labels[i]] * a[labels[j]] * lam[i][j]
-    if p % 4:
-        raise ValueError("prefactor exponent %d not divisible by 4" % p)
-    result = unit_element(datum).scale(LaurentScalar.q_power(p // 4))
+    p4 = monomial_prefactor(a, labels, degrees, lam)
+    result = unit_element(datum).scale(LaurentScalar.q_power(p4))
     for s in labels:
         for _ in range(a[s]):
             result = shuffle_product(result, variables[s])
     return result
+
+
+def _exchange_rhs(pair, k, variables, degrees) -> ShuffleElement:
+    """Y^{a+} + q^{e_k} Y^{a-} of direction k, with shuffle products."""
+    a_plus, a_minus, e_k = exchange_monomials(pair, k)
+
+    def monomial(a):
+        return normalized_shuffle_monomial(a, pair.labels, variables,
+                                           degrees, pair.lam)
+    return monomial(a_plus) \
+        + monomial(a_minus).scale(LaurentScalar.q_power(e_k))
 
 
 def check_exchange_relation(input_spec, word, direction) -> VerificationReport:
@@ -243,24 +247,19 @@ def check_exchange_relation(input_spec, word, direction) -> VerificationReport:
     labels, minors, lam, exchange, degrees = oracle_seed_data(
         datum, word, quiver, context)
     pair = _pair_from_data(labels, lam, exchange)
+    k = direction
     try:
-        e = check_compatible(pair)
+        rhs = _exchange_rhs(pair, k, minors, degrees)
     except CompatibilityError as exc:
         return VerificationReport("exchange_relation", instance, False,
                                   "fail", "incompatible pair: %s" % exc)
-    k = direction
-    if k not in pair.exchangeable:
+    except KeyError:
         return VerificationReport("exchange_relation", instance, False,
                                   "fail", "direction %r is frozen" % (k,))
-    a_plus = {t: max(pair.b_entry(t, k), 0) for t in labels}
-    a_minus = {t: max(-pair.b_entry(t, k), 0) for t in labels}
-    if not any(a_plus.values()) and not any(a_minus.values()):
+    if not any(row[pair.ex_pos(k)] for row in pair.b):
         return VerificationReport("exchange_relation", instance, True,
                                   "skipped", "not realizable in A_q(n): "
                                   "empty exchange monomials")
-    rhs = normalized_shuffle_monomial(a_plus, labels, minors, degrees, lam) \
-        + normalized_shuffle_monomial(a_minus, labels, minors, degrees, lam) \
-        .scale(LaurentScalar.q_power(e[k]))
     try:
         candidate = shuffle_divide_left(minors[k], rhs)
     except ShuffleDivisionError as exc:
@@ -436,74 +435,34 @@ def check_dual_canonical_conditions(element: ShuffleElement,
 
 
 def realized_exchange_graph(datum, word, quiver=None, bound=200):
-    """Enumerate the exchange graph while realizing every cluster variable
-    in the shuffle algebra (mirroring each torus mutation by an exact
-    shuffle division)."""
+    """Walk enumerate_exchange_graph's graph, realizing every cluster
+    variable in the shuffle algebra: each new seed mirrors the torus mutation
+    along its discovery edge (its first edge in graph.edges) by an exact,
+    self-dual normalized shuffle division.  Raises RuntimeError when the
+    graph has more than `bound` seeds."""
     context = OracleContext(datum)
     seed, minors = build_seed(datum, word, quiver, context)
-    graph_seeds = [seed]
+    graph = enumerate_exchange_graph(seed, bound)
+    if not graph.complete:
+        raise RuntimeError("exchange graph exceeded bound")
     realizations = [dict(minors)]
-    index = {}
-    from .qcluster import seed_canonical_key
-    index[seed_canonical_key(seed)] = 0
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for src in frontier:
-            s = graph_seeds[src]
-            real = realizations[src]
-            for k in s.pair.exchangeable:
-                mutated = mutate_seed(s, k)
-                key = seed_canonical_key(mutated)
-                if key in index:
-                    continue
-                if len(graph_seeds) >= bound:
-                    raise RuntimeError("exchange graph exceeded bound")
-                e = check_compatible(s.pair)
-                labels = s.pair.labels
-                a_plus = {t: max(s.pair.b_entry(t, k), 0) for t in labels}
-                a_minus = {t: max(-s.pair.b_entry(t, k), 0) for t in labels}
-                lam = s.pair.lam
-                degrees = s.degrees
-                rhs = normalized_shuffle_monomial(
-                    a_plus, labels, real, degrees, lam) \
-                    + normalized_shuffle_monomial(
-                        a_minus, labels, real, degrees, lam) \
-                    .scale(LaurentScalar.q_power(e[k]))
-                candidate = shuffle_divide_left(real[k], rhs)
-                defect = _shuffle_bar_defect(candidate)
-                if defect is None or defect % 2:
-                    raise RuntimeError("realized variable has no self-dual "
-                                       "normalization")
-                if defect:
-                    candidate = candidate.scale(
-                        LaurentScalar.q_power(defect // 2))
-                new_real = dict(real)
-                new_real[k] = candidate
-                index[key] = len(graph_seeds)
-                graph_seeds.append(mutated)
-                realizations.append(new_real)
-                nxt.append(index[key])
-        frontier = nxt
-    return graph_seeds, realizations
-
-
-def _shuffle_bar_defect(x: ShuffleElement):
-    barred = bar_element(x)
-    word, coeff = next(iter(x.terms.items()))
-    other = barred.terms.get(word)
-    if other is None:
-        return None
-    try:
-        ratio = other.divexact(coeff)
-    except Exception:
-        return None
-    if not ratio.is_monomial() or ratio.coefficient(ratio.monomial_exponent()) != 1:
-        return None
-    m = ratio.monomial_exponent()
-    if barred == x.scale(LaurentScalar.q_power(m)):
-        return m
-    return None
+    for src, k, dst in graph.edges:
+        if dst != len(realizations):
+            continue
+        real = realizations[src]
+        rhs = _exchange_rhs(graph.seeds[src].pair, k, real,
+                            graph.seeds[src].degrees)
+        candidate = shuffle_divide_left(real[k], rhs)
+        defect = qpower_ratio(bar_element(candidate).terms, candidate.terms)
+        if defect is None or defect % 2:
+            raise RuntimeError("realized variable has no self-dual "
+                               "normalization")
+        if defect:
+            candidate = candidate.scale(LaurentScalar.q_power(defect // 2))
+        new_real = dict(real)
+        new_real[k] = candidate
+        realizations.append(new_real)
+    return graph.seeds, realizations
 
 
 def check_word_independence(input_spec, word1, word2, bound=200) \
@@ -639,7 +598,13 @@ def run_check(entry: dict) -> VerificationReport:
 def run_catalog(entries, max_steps=None) -> list:
     reports = []
     for entry in entries:
-        if max_steps is not None and "bound" in entry:
-            entry = dict(entry, bound=min(entry["bound"], max_steps))
-        reports.append(run_check(entry))
+        reports.append(run_check(bounded_entry(entry, max_steps)))
     return reports
+
+
+def bounded_entry(entry: dict, max_steps) -> dict:
+    """The catalog entry with its graph bound capped at max_steps (None
+    leaves it as it is)."""
+    if max_steps is not None and "bound" in entry:
+        return dict(entry, bound=min(entry["bound"], max_steps))
+    return entry

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from qfold.cli import main
 
 A3_QUIVER_CONFIG = {
@@ -86,6 +88,20 @@ def test_initquiver_non_reduced_word(tmp_path, capsys):
     code, _, err = _run(capsys, ["initquiver", "--config", path])
     assert code == 2
     assert "not reduced" in err
+
+
+@pytest.mark.parametrize("command",
+                         ["roots", "initquiver", "seed-init", "enumerate"])
+@pytest.mark.parametrize("config", [
+    {"input": {"type": ["A", 2]}, "word": [1, 2, 7]},
+    dict(A3_QUIVER_CONFIG, word=[1, 2, 7]),
+])
+def test_unknown_word_letter_is_input_error(tmp_path, capsys, command, config):
+    path = _write(tmp_path, config)
+    code, out, err = _run(capsys, [command, "--config", path])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error: ") and "7" in err
 
 
 def test_initquiver_folded_exchange(tmp_path, capsys):

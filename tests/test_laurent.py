@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qfold.laurent import (
     ONE,
@@ -17,6 +19,7 @@ from qfold.laurent import (
     q_binomial,
     q_factorial,
     q_int,
+    qpower_ratio,
 )
 
 
@@ -129,3 +132,37 @@ def test_rendering_is_descending_and_canonical():
     x = LaurentScalar([(2, 1), (-2, 1), (0, 3)])
     assert str(x) == "q^2 + 3 + q^-2"
     assert str(LaurentScalar([(1, -1), (0, Fraction(1, 2))])) == "-q + 1/2"
+
+
+_coeffs = st.builds(Fraction, st.integers(1, 5) | st.integers(-5, -1),
+                    st.integers(1, 3))
+_scalars = st.dictionaries(st.integers(-4, 4), _coeffs, min_size=1,
+                           max_size=3).map(LaurentScalar)
+_term_dicts = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                              _scalars, min_size=2, max_size=4)
+
+
+@given(_term_dicts, st.integers(-6, 6), st.data())
+def test_qpower_ratio_recovers_the_shift(den, m, data):
+    # Two or more terms: with one, a changed coefficient can still be a
+    # unit q-power multiple of the old one.
+    num = {k: c * LaurentScalar.q_power(m) for k, c in den.items()}
+    assert qpower_ratio(num, den) == m
+    assert qpower_ratio(den, num) == -m
+    key = data.draw(st.sampled_from(sorted(num)))
+    changed = dict(num)
+    changed[key] = num[key] + data.draw(_scalars)
+    if not changed[key]:
+        del changed[key]
+    assert qpower_ratio(changed, den) is None
+
+
+def test_qpower_ratio_zero_and_non_units():
+    x = {(0,): LaurentScalar.q_power(1), (1,): ONE}
+    assert qpower_ratio({}, {}) == 0
+    assert qpower_ratio({}, x) is None
+    assert qpower_ratio(x, {}) is None
+    assert qpower_ratio({k: c * 2 for k, c in x.items()}, x) is None
+    assert qpower_ratio({k: c * (ONE + LaurentScalar.q_power(1))
+                         for k, c in x.items()}, x) is None
+    assert qpower_ratio({(0,): ONE}, {(1,): ONE}) is None

@@ -11,6 +11,7 @@ from qfold.uqn import (
     OracleContext,
     extremal_word,
     minor_to_shuffle,
+    qcommute_exponent,
     shuffle_product,
 )
 from qfold.verify import (
@@ -23,6 +24,8 @@ from qfold.verify import (
     check_square_identity,
     check_word_independence,
     load_catalog,
+    realized_exchange_graph,
+    resolve_input,
     run_catalog,
     run_check,
 )
@@ -119,6 +122,35 @@ def test_word_independence_a2():
 def test_word_independence_rejects_distinct_elements():
     r = check_word_independence(A2_INPUT, (1, 2), (2, 1))
     assert not r.passed
+
+
+@pytest.mark.parametrize("input_spec, word, slow", [
+    (A2_INPUT, (1, 2, 1), False),
+    (C2_QUIVER, (1, 2, 1, 2), False),
+    ({"type": ["A", 3]}, (1, 2, 1, 3, 2, 1), True),
+])
+def test_realized_variables_qcommute_by_seed_lambda(input_spec, word, slow,
+                                                    slow_enabled):
+    # Cross-layer: the shuffle realizations of every seed q-commute exactly
+    # as the seed's Lambda, mutated on the cluster side, says.
+    if slow and not slow_enabled:
+        pytest.skip("needs --slow")
+    datum, quiver = resolve_input(input_spec)
+    seeds, realizations = realized_exchange_graph(datum, word, quiver)
+    for seed, real in zip(seeds, realizations):
+        labels = seed.pair.labels
+        for a, s in enumerate(labels):
+            for t in labels[a + 1:]:
+                assert qcommute_exponent(real[s], real[t]) \
+                    == seed.pair.lam_entry(s, t), (s, t)
+
+
+def test_realized_exchange_graph_bound():
+    datum, quiver = resolve_input(C2_QUIVER)
+    seeds, _ = realized_exchange_graph(datum, (1, 2, 1, 2), quiver, bound=6)
+    assert len(seeds) == 6
+    with pytest.raises(RuntimeError, match="exchange graph exceeded bound"):
+        realized_exchange_graph(datum, (1, 2, 1, 2), quiver, bound=5)
 
 
 def test_fast_catalog_all_pass():

@@ -7,7 +7,6 @@ instances and reports machine-readable results.
 """
 
 from qfold.qcluster import enumerate_exchange_graph, mutate_seed, specialize_classical
-from qfold.rootdata import cartan_datum
 from qfold.verify import (
     build_seed,
     check_exchange_relation,

@@ -260,8 +260,6 @@ def build_parser():
     parser.add_argument("--config", help="path to the JSON job config")
     parser.add_argument("--dot", action="store_true",
                         help="emit DOT text where applicable")
-    parser.add_argument("--json", action="store_true",
-                        help="emit JSON (the default)")
     parser.add_argument("--slow", action="store_true",
                         help="include the slow verification catalog")
     parser.add_argument("--max-steps", type=int, default=1000,

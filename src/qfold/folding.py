@@ -45,9 +45,6 @@ class QuiverWithAut:
         if not self.automorphism:
             self.automorphism = {v: v for v in self.vertices}
 
-    def image(self, v):
-        return self.automorphism[v]
-
     def orbits(self):
         """Orbits of the automorphism, each ascending, sorted by least vertex."""
         seen = set()
@@ -71,17 +68,6 @@ class QuiverWithAut:
         lookup = {orbit: orbit for orbit in orbits}
         lookup.update((v, orbit) for orbit in orbits for v in orbit)
         return lookup
-
-    def order(self) -> int:
-        n = 1
-        for orbit in self.orbits():
-            n = _lcm(n, len(orbit))
-        return n
-
-
-def _lcm(a, b):
-    from math import gcd
-    return a * b // gcd(a, b)
 
 
 def validate(quiver: QuiverWithAut):

@@ -36,12 +36,6 @@ class IceQuiver:
     def exchangeable(self):
         return tuple(t for t in self.positions if t not in self.frozen)
 
-    def multiplicity(self, src, dst) -> int:
-        for s, d, m in self.arrows:
-            if (s, d) == (src, dst):
-                return m
-        return 0
-
     def arrow_multiset(self):
         return {(s, d): m for s, d, m in self.arrows}
 
@@ -107,10 +101,6 @@ class ExchangeData:
     exchangeable: tuple  # the subset of labels that index columns
     matrix: tuple        # rows aligned with labels, columns with exchangeable
     sizes: tuple         # orbit sizes (skew-symmetrizers of the principal part)
-
-    def entry(self, row_label, col_label) -> int:
-        return self.matrix[self.labels.index(row_label)][
-            self.exchangeable.index(col_label)]
 
     def principal_part(self):
         rows = [self.labels.index(s) for s in self.exchangeable]

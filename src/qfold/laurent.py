@@ -63,20 +63,12 @@ class LaurentScalar:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def is_one(self) -> bool:
-        return self._terms == ((0, Fraction(1)),)
-
     def is_integral(self) -> bool:
         """True when every coefficient is an integer."""
         return all(c.denominator == 1 for _, c in self._terms)
 
     def is_monomial(self) -> bool:
         return len(self._terms) == 1
-
-    def max_exponent(self) -> int:
-        if not self._terms:
-            raise ValueError("zero polynomial has no degree")
-        return self._terms[0][0]
 
     def min_exponent(self) -> int:
         if not self._terms:
@@ -123,21 +115,6 @@ class LaurentScalar:
         return LaurentScalar(acc)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            if not self.is_monomial():
-                raise LaurentDivisionError("negative power of a non-monomial")
-            k, c = self._terms[0]
-            return LaurentScalar([(-k, Fraction(1) / c)]) ** (-n)
-        result = LaurentScalar.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def __eq__(self, other):
         other = _coerce(other)

@@ -301,35 +301,40 @@ class TorusElement:
         return " + ".join(bits)
 
 
-def left_divide(divisor: TorusElement, dividend: TorusElement,
-                max_steps: int = 20000) -> TorusElement:
+def left_divide(divisor: TorusElement, dividend: TorusElement) -> TorusElement:
     """Solve divisor * Z = dividend exactly in the torus.
 
     Leading exponents (lex order) are multiplicative, so long division
-    works; a non-exact division keeps producing lex-smaller leading terms
-    and is cut off by max_steps.
+    works, and its candidate terms strictly decrease in lex order.  The
+    torus is a domain, so in each coordinate the extreme exponents of a
+    product add: every term of an exact quotient lies in the box
+    min(dividend) - min(divisor) <= t <= max(dividend) - max(divisor).  A
+    candidate outside that finite box proves the division is not exact.
     """
     torus = divisor.torus
     if divisor.is_zero():
         raise TorusDivisionError("division by zero")
+    if dividend.is_zero():
+        return TorusElement(torus, {})
+    coords = list(zip(zip(*dividend.terms), zip(*divisor.terms)))
+    low = [min(c) - min(d) for c, d in coords]
+    high = [max(c) - max(d) for c, d in coords]
     quotient = {}
     remainder = dividend
     v0, c0 = divisor.leading()
-    steps = 0
     while not remainder.is_zero():
-        steps += 1
-        if steps > max_steps:
-            raise TorusDivisionError("division does not terminate: not exact")
         u, cu = remainder.leading()
         t_exp = tuple(x - y for x, y in zip(u, v0))
+        if any(not lo <= t <= hi for lo, t, hi in zip(low, t_exp, high)):
+            raise TorusDivisionError("division is not exact: quotient term "
+                                     "outside the exponent box")
         try:
             coeff = cu.divexact(
                 c0 * LaurentScalar.q_power(torus.sigma(v0, t_exp)))
         except LaurentDivisionError as exc:
             raise TorusDivisionError("leading coefficient not divisible") from exc
-        term = TorusElement(torus, {t_exp: coeff})
-        quotient[t_exp] = quotient.get(t_exp, ZERO) + coeff
-        remainder = remainder - divisor * term
+        quotient[t_exp] = coeff
+        remainder = remainder - divisor * TorusElement(torus, {t_exp: coeff})
     return TorusElement(torus, quotient)
 
 
@@ -364,9 +369,6 @@ class QuantumSeed:
                 if (self.pair.lam_entry(s, t) - bilinear_form(ds, dt)) % 2:
                     raise ParityError(
                         "lambda(%r,%r) and (d,d) parity mismatch" % (s, t))
-
-    def variable(self, s) -> TorusElement:
-        return self.variables[s]
 
     def lambda_from_variables(self):
         """Recompute the q-commutation matrix of the stored variables."""

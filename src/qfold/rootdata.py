@@ -79,12 +79,6 @@ class CartanDatum:
         coords[self.pos(i)] = 1
         return Weight(self, tuple(coords))
 
-    def zero_weight(self) -> "Weight":
-        return Weight(self, (0,) * self.rank)
-
-    def weight(self, coords) -> "Weight":
-        return Weight(self, tuple(int(c) for c in coords))
-
     def root(self, coords) -> "Root":
         return Root(self, tuple(int(c) for c in coords))
 
@@ -178,17 +172,12 @@ class Weight(_Vector):
         return all(c >= 0 for c in self.coords)
 
     def to_root(self):
-        """Express in the simple-root basis; None when not in the span/lattice.
-
-        Returns a Root when all solved coordinates are integers, otherwise
-        the tuple of Fractions (useful for the bilinear form).
-        """
+        """Express in the simple-root basis: a Root, or None when the weight
+        is outside the root lattice."""
         coords = _solve_root_coords(self.datum, self.coords)
-        if coords is None:
+        if coords is None or any(c.denominator != 1 for c in coords):
             return None
-        if all(c.denominator == 1 for c in coords):
-            return Root(self.datum, tuple(int(c) for c in coords))
-        return tuple(coords)
+        return Root(self.datum, tuple(int(c) for c in coords))
 
     def __repr__(self):
         return "Weight%s" % (self.coords,)
@@ -202,9 +191,6 @@ class Root(_Vector):
 
     def is_positive(self) -> bool:
         return all(c >= 0 for c in self.coords) and any(c > 0 for c in self.coords)
-
-    def is_negative(self) -> bool:
-        return all(c <= 0 for c in self.coords) and any(c < 0 for c in self.coords)
 
     def coroot_pairing(self, i) -> int:
         """<beta, alpha_i-check> = sum_j a_ij beta_j."""
@@ -354,9 +340,7 @@ def dominance_leq(mu: Weight, eta: Weight) -> bool:
     Weights differing outside the root lattice compare as False.
     """
     diff = (eta - mu).to_root()
-    if not isinstance(diff, Root):
-        return False
-    return all(c >= 0 for c in diff.coords)
+    return diff is not None and all(c >= 0 for c in diff.coords)
 
 
 def weyl_equal(datum: CartanDatum, word1, word2) -> bool:
@@ -371,12 +355,31 @@ def _weyl_key(datum, word):
                  for i in datum.indices)
 
 
-def weyl_elements(datum: CartanDatum, limit: int = 100000):
+def is_finite_type(datum: CartanDatum) -> bool:
+    """True when the symmetrized matrix d_i a_ij is positive definite, that
+    is, when every pivot of its exact elimination is positive; exactly then
+    the Weyl group is finite."""
+    n = datum.rank
+    m = [[Fraction(datum.symmetrizers[r] * datum.cartan[r][c])
+          for c in range(n)] for r in range(n)]
+    for k in range(n):
+        if m[k][k] <= 0:
+            return False
+        for r in range(k + 1, n):
+            factor = m[r][k] / m[k][k]
+            m[r] = [v - factor * w for v, w in zip(m[r], m[k])]
+    return True
+
+
+def weyl_elements(datum: CartanDatum):
     """BFS over the Weyl group returning {action-key: reduced word}.
 
-    Words found by BFS from the identity are automatically reduced.  Only
-    safe for finite types; the limit guards against infinite groups.
+    Words found by BFS from the identity are automatically reduced, and the
+    dict lists them in BFS order.  Raises ValueError up front when the
+    datum is not of finite type (the group is then infinite).
     """
+    if not is_finite_type(datum):
+        raise ValueError("Weyl group is infinite")
     identity = tuple()
     elements = {_weyl_key(datum, identity): identity}
     frontier = [identity]
@@ -389,21 +392,21 @@ def weyl_elements(datum: CartanDatum, limit: int = 100000):
                 if key not in elements:
                     elements[key] = candidate
                     new_frontier.append(candidate)
-                    if len(elements) > limit:
-                        raise ValueError("Weyl group larger than limit")
         frontier = new_frontier
     return elements
 
 
 def positive_roots(datum: CartanDatum):
-    """All positive roots of a finite-type datum, via the longest element."""
+    """All positive roots of a finite-type datum, via the longest element;
+    ValueError for an infinite Weyl group."""
     longest = longest_word(datum)
     return sorted(set(inversion_roots(datum, longest)),
                   key=lambda beta: (beta.height(), beta.coords))
 
 
 def longest_word(datum: CartanDatum):
-    """A reduced word for the longest element of a finite Weyl group."""
+    """A reduced word for the longest element of a finite Weyl group;
+    ValueError for an infinite one."""
     words = weyl_elements(datum).values()
     return max(words, key=len)
 

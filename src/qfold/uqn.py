@@ -52,13 +52,6 @@ class FWord:
         if any(c < 1 for _, c in self.letters):
             raise ValueError("divided-power exponents must be positive")
 
-    def weight(self) -> Weight:
-        v = self.lam
-        datum = self.lam.datum
-        for i, c in self.letters:
-            v = v - c * datum.simple_root(i).to_weight()
-        return v
-
 
 class OracleContext:
     """Memo tables for the Shapovalov engine, one per Cartan datum."""
@@ -389,15 +382,18 @@ def extremal_word(x: ShuffleElement):
     that derivative.  Returns (word, [(letter, exponent), ...]) where zero
     exponents are omitted.  For an element of a dual-canonical-type basis
     the coefficient of this word is the product of the [exponent]! factors.
+
+    Each pass through the index set strips at least one letter (some word
+    of the nonzero current element starts with some index), and a strip by
+    the longest run never gives zero, so the loop ends after at most
+    height(x) passes.
     """
     if x.is_zero():
         raise ValueError("zero element has no extremal word")
     datum = x.datum
     runs = []
     current = x
-    guard = 0
     while current.weight.height() > 0:
-        progressed = False
         for i in datum.indices:
             best = 0
             for word in current.terms:
@@ -410,10 +406,6 @@ def extremal_word(x: ShuffleElement):
             if best:
                 runs.append((i, best))
                 current = skew_derivative_left(current, i, best)
-                progressed = True
-        guard += 1
-        if not progressed or guard > 10 * (x.weight.height() + 1):
-            raise ValueError("extremal-word recursion failed to progress")
     word = tuple(itertools.chain.from_iterable(
         (i,) * a for i, a in runs))
     return word, runs
@@ -538,12 +530,6 @@ class MinorSpec:
     @property
     def eta(self) -> Weight:
         return apply_word(self.word_eta, self.lam)
-
-    def weight(self) -> Root:
-        diff = (self.eta - self.mu).to_root()
-        if not isinstance(diff, Root):
-            raise ValueError("eta - mu is not in the root lattice")
-        return diff
 
 
 def minor_to_shuffle(spec: MinorSpec, context: OracleContext | None = None) -> ShuffleElement:

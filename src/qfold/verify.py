@@ -36,6 +36,7 @@ from .rootdata import (
     bilinear_form,
     cartan_datum,
     dominance_leq,
+    is_finite_type,
     is_reduced,
     weyl_elements,
     weyl_equal,
@@ -53,8 +54,8 @@ from .uqn import (
     shuffle_divide_left,
     shuffle_product,
     shuffle_to_json,
-    skew_derivative_left,
     tensor_of_elements,
+    theta_star,
     unit_element,
 )
 
@@ -268,9 +269,6 @@ def check_exchange_relation(input_spec, word, direction) -> VerificationReport:
             "no candidate matches: " + str(exc),
             {"lhs_factor": shuffle_to_json(minors[k]),
              "rhs": shuffle_to_json(rhs)})
-    if shuffle_product(minors[k], candidate) != rhs:
-        return VerificationReport("exchange_relation", instance, False,
-                                  "fail", "division verification failed")
     if bar_element(candidate) != candidate:
         return VerificationReport(
             "exchange_relation", instance, False, "fail",
@@ -284,32 +282,35 @@ def check_exchange_relation(input_spec, word, direction) -> VerificationReport:
 
 def _name_among_minors(datum, element, context):
     """Try to identify an element as a generalized minor D(u omega_i,
-    v omega_i) by weight filtering and exact comparison.
+    v omega_i), or None (always for a datum of infinite type).
 
     Mutated cluster variables are often minors with non-fundamental eta
     (the dual PBW elements have eta = s_{i1}...s_{i_{k-1}} omega_{i_k}), so
-    both Weyl elements range over the full group.
+    both Weyl elements range over the full group.  A minor depends only on
+    (mu, eta) and eta = mu + wt(element), so one lookup per extremal weight
+    mu = u omega_i finds the candidate; u and v are the first words of their
+    weights in BFS order.
     """
     def wname(u):
         return "s" + "s".join(str(x) for x in u) if u else "1"
 
-    from .uqn import theta_star
     for i in datum.indices:
         if element == theta_star(datum, i):
             return "theta*_%s" % (i,)
+    if not is_finite_type(datum):
+        return None
+    words = weyl_elements(datum).values()
+    shift = element.weight.to_weight()
     for i in datum.indices:
         omega = datum.fundamental_weight(i)
-        elements = list(weyl_elements(datum).values())
-        for u in elements:
-            mu = apply_word(u, omega)
-            for v in elements:
-                eta = apply_word(v, omega)
-                diff = (eta - mu).to_root()
-                if not hasattr(diff, "coords") \
-                        or diff.coords != element.weight.coords:
-                    continue
-                if minor_to_shuffle(MinorSpec(omega, u, v), context) == element:
-                    return "D(%s w_%s, %s w_%s)" % (wname(u), i, wname(v), i)
+        first = {}
+        for u in words:
+            first.setdefault(apply_word(u, omega), u)
+        for mu, u in first.items():
+            v = first.get(mu + shift)
+            if v is not None and \
+                    minor_to_shuffle(MinorSpec(omega, u, v), context) == element:
+                return "D(%s w_%s, %s w_%s)" % (wname(u), i, wname(v), i)
     return None
 
 
@@ -387,10 +388,11 @@ def check_dual_canonical_conditions(element: ShuffleElement,
                                     instance=None) -> VerificationReport:
     """Element-level shadows of the dual-canonical-type axioms.
 
-    (a) bar invariance, (b) iterated left skew derivatives along the
-    lexicographically least word terminate at 1 and its coefficient is the
-    product of quantum factorials over the runs, (c) weight homogeneity
-    (structural, re-asserted)."""
+    (a) bar invariance, (b) the coefficient of the extremal word is the
+    product of quantum factorials over its runs.  Together with the strips
+    of extremal_word this says the iterated left skew derivatives along
+    that word end at the unit; weight homogeneity is structural
+    (ShuffleElement enforces it)."""
     instance = instance or {"check": "dual_canonical"}
     datum = element.datum
     if element.is_zero():
@@ -399,11 +401,7 @@ def check_dual_canonical_conditions(element: ShuffleElement,
     if bar_element(element) != element:
         return VerificationReport("dual_canonical", instance, False, "fail",
                                   "not bar-invariant")
-    try:
-        word, runs = extremal_word(element)
-    except ValueError as exc:
-        return VerificationReport("dual_canonical", instance, False, "fail",
-                                  str(exc))
+    word, runs = extremal_word(element)
     expected = ONE
     for letter, size in runs:
         expected = expected * q_factorial(size, datum.d(letter))
@@ -413,23 +411,6 @@ def check_dual_canonical_conditions(element: ShuffleElement,
             "extremal word coefficient is %s, expected %s"
             % (element.coefficient(word), expected),
             {"word": list(word)})
-    # Iterated strips along the extremal word terminate at the unit: this is
-    # what extremal_word computes, so re-run the strips explicitly.
-    current = element
-    for letter, size in runs:
-        current = skew_derivative_left(current, letter, size)
-        if current.is_zero():
-            return VerificationReport(
-                "dual_canonical", instance, False, "fail",
-                "skew derivative vanished mid-strip", {"word": list(word)})
-    if current != unit_element(datum):
-        return VerificationReport(
-            "dual_canonical", instance, False, "fail",
-            "iterated strips do not terminate at the unit")
-    for w in element.terms:
-        if len(w) != element.weight.height():
-            return VerificationReport("dual_canonical", instance, False,
-                                      "fail", "weight inhomogeneity")
     return VerificationReport("dual_canonical", instance, True, "pass",
                               "extremal word " + ",".join(str(x) for x in word))
 

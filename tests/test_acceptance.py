@@ -8,7 +8,6 @@ comparison is exact; there are no tolerances anywhere.
 from __future__ import annotations
 
 import itertools
-import json
 import random
 import time
 from functools import lru_cache
@@ -34,11 +33,9 @@ from qfold.rootdata import (
     positive_roots,
 )
 from qfold.uqn import (
-    MinorSpec,
     OracleContext,
     bar_element,
     extremal_word,
-    minor_to_shuffle,
     shuffle_product,
 )
 from qfold.verify import (

@@ -14,7 +14,7 @@ from qfold.folding import (
     unfold_word,
     validate,
 )
-from qfold.rootdata import cartan_datum, is_reduced
+from qfold.rootdata import CartanDatum, cartan_datum, is_reduced
 
 
 def a3_quiver():
@@ -26,6 +26,17 @@ def d4_quiver():
     # Three-arm star, arms 1, 3, 4 around center 2, rotated by a 3-cycle.
     return QuiverWithAut((1, 2, 3, 4), ((1, 2), (3, 2), (4, 2)),
                          {1: 3, 3: 4, 4: 1, 2: 2})
+
+
+def a5_quiver():
+    # Path 1 -> 2 -> 3 <- 4 <- 5 with the diagram flip i -> 6 - i.
+    return QuiverWithAut((1, 2, 3, 4, 5), ((1, 2), (2, 3), (5, 4), (4, 3)),
+                         {1: 5, 2: 4, 3: 3, 4: 2, 5: 1})
+
+
+def on_orbits(datum, orbits):
+    """The datum with its index labels replaced by the folded orbits."""
+    return CartanDatum(orbits, datum.cartan, datum.symmetrizers)
 
 
 def test_validate_ok_cases():
@@ -52,8 +63,7 @@ def test_fold_a3_to_c2():
     folded = fold(a3_quiver())
     assert folded.orbits == ((1, 3), (2,))
     assert folded.pairing == ((4, -2), (-2, 2))
-    assert folded.datum.cartan == ((2, -1), (-2, 2))
-    assert folded.datum.symmetrizers == (2, 1)
+    assert folded.datum == on_orbits(cartan_datum("C", 2), folded.orbits)
 
 
 def test_fold_identity_gives_symmetric_matrix():
@@ -66,8 +76,16 @@ def test_fold_identity_gives_symmetric_matrix():
 def test_fold_d4_to_g2():
     folded = fold(d4_quiver())
     assert folded.orbits == ((1, 3, 4), (2,))
-    assert folded.datum.cartan == ((2, -1), (-3, 2))
-    assert folded.datum.symmetrizers == (3, 1)
+    assert folded.datum == on_orbits(cartan_datum("G", 2), folded.orbits)
+    assert underlying_datum(d4_quiver()) == cartan_datum("D", 4)
+
+
+def test_fold_a5_by_its_flip_to_b3():
+    # With a_jk = (j.k)/|j| the long roots are the 2-element orbits, so the
+    # flip of A5 folds to B3 (d = (2, 2, 1)).
+    folded = fold(a5_quiver())
+    assert folded.orbits == ((1, 5), (2, 4), (3,))
+    assert folded.datum == on_orbits(cartan_datum("B", 3), folded.orbits)
 
 
 def test_fold_rejects_invalid():

@@ -7,12 +7,11 @@ import random
 import pytest
 
 from pair_generators import random_compatible_pair
-from qfold.laurent import ONE, LaurentScalar, parse_scalar
+from qfold.laurent import ONE, parse_scalar
 from qfold.qcluster import (
     CompatiblePair,
     CompatibilityError,
     ParityError,
-    QuantumSeed,
     QuantumTorus,
     TorusDivisionError,
     check_compatible,
@@ -153,7 +152,34 @@ def test_left_divide():
             continue
         assert left_divide(a, a * z) == z
     with pytest.raises(TorusDivisionError):
-        left_divide(torus.unit() + x1, torus.generator(2), max_steps=50)
+        left_divide(torus.unit() + x1, torus.generator(2))
+
+
+def _three_generator_torus():
+    torus = QuantumTorus((1, 2, 3), ((0, 1, 0), (-1, 0, 1), (0, -1, 0)))
+    return torus, [torus.generator(i) for i in (1, 2, 3)]
+
+
+def test_left_divide_rejects_by_exponent_box():
+    # Lex long division never ends here.  An exact quotient would have x2
+    # exponents at most max(dividend) - max(divisor) = 0 - 1, so the first
+    # candidate term, 1, is already outside the box.
+    torus, (x1, x2, x3) = _three_generator_torus()
+    with pytest.raises(TorusDivisionError, match="exponent box"):
+        left_divide(x1 + x2, x3 * x3 + x1)
+    assert left_divide(x1 + x2, torus.element({})).is_zero()
+
+
+def test_left_divide_long_exact_quotient(slow_enabled):
+    # (1 - x1^n) / (1 - x1) = 1 + x1 + ... + x1^(n-1): more quotient terms
+    # than any fixed step cap would allow.
+    if not slow_enabled:
+        pytest.skip("needs --slow")
+    torus, (x1, _, _) = _three_generator_torus()
+    one = torus.unit()
+    n = 20001
+    quotient = left_divide(one - x1, one - x1 ** n)
+    assert quotient == torus.element({(k, 0, 0): ONE for k in range(n)})
 
 
 def test_normalized_monomial_units():

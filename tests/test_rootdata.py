@@ -7,7 +7,7 @@ import random
 import pytest
 
 from qfold.rootdata import (
-    Root,
+    CartanDatum,
     apply_word,
     bilinear_form,
     cartan_datum,
@@ -16,6 +16,7 @@ from qfold.rootdata import (
     dominance_leq,
     extremal_exponents,
     inversion_roots,
+    is_finite_type,
     is_reduced,
     longest_word,
     positive_roots,
@@ -137,6 +138,34 @@ def test_weyl_group_sizes():
     assert len(weyl_elements(A3)) == 24
     assert len(weyl_elements(C2)) == 8
     assert len(weyl_elements(G2)) == 12
+    assert len(weyl_elements(cartan_datum("B", 3))) == 48
+    assert len(weyl_elements(cartan_datum("D", 4))) == 192
+
+
+FINITE_FAMILIES = ([("A", n) for n in range(1, 6)]
+                   + [("B", n) for n in (2, 3, 4)]
+                   + [("C", n) for n in (2, 3, 4)]
+                   + [("D", 4), ("D", 5), ("G", 2)])
+
+# Affine A1, a hyperbolic rank 2 matrix, and the rank 3 matrix of the
+# infinite-type exchange_relation check.
+INFINITE_CARTANS = [((2, -2), (-2, 2)), ((2, -3), (-3, 2)),
+                    ((2, -1, 0), (-1, 2, -2), (0, -2, 2))]
+
+
+@pytest.mark.parametrize("family, rank", FINITE_FAMILIES)
+def test_finite_families_are_finite_type(family, rank):
+    assert is_finite_type(cartan_datum(family, rank))
+
+
+@pytest.mark.parametrize("cartan", INFINITE_CARTANS)
+def test_infinite_type_is_detected_up_front(cartan):
+    datum = CartanDatum(tuple(range(1, len(cartan) + 1)), cartan,
+                        (1,) * len(cartan))
+    assert not is_finite_type(datum)
+    for enumerate_group in (weyl_elements, longest_word, positive_roots):
+        with pytest.raises(ValueError, match="Weyl group is infinite"):
+            enumerate_group(datum)
 
 
 def test_weyl_equal_and_longest():

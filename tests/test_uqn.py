@@ -11,7 +11,6 @@ from qfold.laurent import ONE, ZERO, LaurentScalar, parse_scalar, q_factorial
 from qfold.rootdata import (
     CartanDatum,
     Weight,
-    apply_word,
     bilinear_form,
     cartan_datum,
     weyl_elements,

@@ -4,17 +4,20 @@ from __future__ import annotations
 
 import pytest
 
+from minor_search_reference import reference_name
 from qfold.laurent import LaurentScalar
 from qfold.rootdata import bilinear_form, cartan_datum
 from qfold.uqn import (
     MinorSpec,
     OracleContext,
+    bar_element,
     extremal_word,
     minor_to_shuffle,
     qcommute_exponent,
     shuffle_product,
 )
 from qfold.verify import (
+    _name_among_minors,
     check_cluster_monomials,
     check_dual_canonical_conditions,
     check_exchange_relation,
@@ -33,6 +36,12 @@ from qfold.verify import (
 A2_INPUT = {"type": ["A", 2]}
 C2_QUIVER = {"quiver": {"vertices": [1, 2, 3], "edges": [[1, 2], [3, 2]],
                         "automorphism": {"1": 3, "2": 2, "3": 1}}}
+# (input, word, needs --slow) of the exchange graphs realized in full.
+REALIZED_GRAPHS = [
+    (A2_INPUT, (1, 2, 1), False),
+    (C2_QUIVER, (1, 2, 1, 2), False),
+    ({"type": ["A", 3]}, (1, 2, 1, 3, 2, 1), True),
+]
 
 
 def test_initial_lambda_pass():
@@ -58,6 +67,34 @@ def test_exchange_relation_a2():
 def test_exchange_relation_c2_first_direction():
     r = check_exchange_relation(C2_QUIVER, (1, 2, 1, 2), 1)
     assert r.passed
+
+
+def test_exchange_relation_infinite_type_names_by_element():
+    # A Cartan matrix of infinite type: no minor search over its Weyl group,
+    # the details spell out the element.
+    spec = {"indices": [1, 2, 3], "symmetrizers": [1, 1, 1],
+            "cartan": [[2, -1, 0], [-1, 2, -2], [0, -2, 2]]}
+    r = check_exchange_relation(spec, (2, 3, 2), 1)
+    assert r.passed
+    assert r.details == ("Y_1' = (q^2 + 2 + q^-2)*[3,2,3,2,2] + "
+                         "(q^4 + 3*q^2 + 4 + 3*q^-2 + q^-4)*[3,3,2,2,2]")
+
+
+@pytest.mark.parametrize("input_spec, word, slow", REALIZED_GRAPHS)
+def test_minor_names_match_exhaustive_search(input_spec, word, slow,
+                                             slow_enabled):
+    if slow and not slow_enabled:
+        pytest.skip("needs --slow")
+    datum, quiver = resolve_input(input_spec)
+    _, realizations = realized_exchange_graph(datum, word, quiver)
+    context = OracleContext(datum)
+    names = []
+    for element in dict.fromkeys(el for real in realizations
+                                 for el in real.values()):
+        name = _name_among_minors(datum, element, context)
+        assert name == reference_name(datum, element, context), str(element)
+        names.append(name)
+    assert any(names)
 
 
 def test_exchange_relation_frozen_direction_fails():
@@ -108,6 +145,19 @@ def test_negative_control_check():
     assert check_negative_control().passed
 
 
+def test_dual_canonical_coefficient_negative_control():
+    # Twice a minor is still bar-invariant; only the extremal coefficient
+    # tells it apart from a dual-canonical-type element.
+    datum = cartan_datum("A", 2)
+    d = minor_to_shuffle(MinorSpec(datum.fundamental_weight(2), (1, 2)),
+                         OracleContext(datum))
+    doubled = d.scale(LaurentScalar.from_rational(2))
+    assert bar_element(doubled) == doubled
+    r = check_dual_canonical_conditions(doubled)
+    assert not r.passed
+    assert r.details == "extremal word coefficient is 2, expected 1"
+
+
 def test_cluster_monomials_a2():
     r = check_cluster_monomials(A2_INPUT, (1, 2, 1))
     assert r.passed
@@ -124,11 +174,7 @@ def test_word_independence_rejects_distinct_elements():
     assert not r.passed
 
 
-@pytest.mark.parametrize("input_spec, word, slow", [
-    (A2_INPUT, (1, 2, 1), False),
-    (C2_QUIVER, (1, 2, 1, 2), False),
-    ({"type": ["A", 3]}, (1, 2, 1, 3, 2, 1), True),
-])
+@pytest.mark.parametrize("input_spec, word, slow", REALIZED_GRAPHS)
 def test_realized_variables_qcommute_by_seed_lambda(input_spec, word, slow,
                                                     slow_enabled):
     # Cross-layer: the shuffle realizations of every seed q-commute exactly

@@ -3,11 +3,15 @@
 This is the universal scalar for everything else in the package: quantum
 integers [n]_i, quantum factorials, Gaussian binomials and the bar
 involution q -> q^-1.  All arithmetic is exact; there is no floating point
-anywhere.  Values are immutable and hashable, so they can be shared freely.
+anywhere.  A coefficient is stored as an int when it is integral and as a
+Fraction (denominator > 1) otherwise, so the common integral case pays for
+no Fraction arithmetic.  Values are immutable and hashable, so they can be
+shared freely.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from fractions import Fraction
 
@@ -16,11 +20,34 @@ class LaurentDivisionError(ArithmeticError):
     """Raised when an exact Laurent division leaves a remainder."""
 
 
+def exact_int(x) -> int:
+    """x as an int; raises instead of rounding a float or a non-integer.
+
+    Integers and integral Fractions are accepted; a float raises TypeError.
+    """
+    if type(x) is int:
+        return x
+    if isinstance(x, Fraction):
+        if x.denominator != 1:
+            raise ValueError("%s is not an integer" % x)
+        return x.numerator
+    return operator.index(x)
+
+
+def _canonical(c):
+    """An exact rational as an int when integral, else as a Fraction; a
+    float raises TypeError."""
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
+    return operator.index(c)
+
+
 class LaurentScalar:
-    """A Laurent polynomial sum_k c_k q^k with Fraction coefficients.
+    """A Laurent polynomial sum_k c_k q^k with exact rational coefficients.
 
     Terms are stored as a tuple of (exponent, coefficient) pairs sorted by
-    descending exponent, with no zero coefficients.  Equality is structural.
+    descending exponent, with no zero coefficients; a coefficient is an int
+    when integral and a Fraction otherwise.  Equality is structural.
     """
 
     __slots__ = ("_terms",)
@@ -30,11 +57,15 @@ class LaurentScalar:
         if terms:
             items = terms.items() if isinstance(terms, dict) else terms
             for k, c in items:
-                c = Fraction(c)
+                if type(k) is not int:
+                    k = exact_int(k)
+                if type(c) is not int:
+                    c = _canonical(c)
                 if c:
-                    acc[int(k)] = acc.get(int(k), Fraction(0)) + c
-        self._terms = tuple(sorted(((k, c) for k, c in acc.items() if c),
-                                   key=lambda t: -t[0]))
+                    acc[k] = acc.get(k, 0) + c
+        self._terms = tuple(sorted(
+            [(k, c if type(c) is int else _canonical(c))
+             for k, c in acc.items() if c], reverse=True))
 
     # -- constructors -------------------------------------------------
 
@@ -52,7 +83,7 @@ class LaurentScalar:
 
     @staticmethod
     def from_rational(c) -> "LaurentScalar":
-        return LaurentScalar([(0, Fraction(c))])
+        return LaurentScalar([(0, c)])
 
     # -- inspection ---------------------------------------------------
 
@@ -65,7 +96,7 @@ class LaurentScalar:
 
     def is_integral(self) -> bool:
         """True when every coefficient is an integer."""
-        return all(c.denominator == 1 for _, c in self._terms)
+        return all(type(c) is int for _, c in self._terms)
 
     def is_monomial(self) -> bool:
         return len(self._terms) == 1
@@ -83,7 +114,7 @@ class LaurentScalar:
             return NotImplemented
         acc = dict(self._terms)
         for k, c in other._terms:
-            acc[k] = acc.get(k, Fraction(0)) + c
+            acc[k] = acc.get(k, 0) + c
         return LaurentScalar(acc)
 
     __radd__ = __add__
@@ -111,7 +142,7 @@ class LaurentScalar:
         for k1, c1 in self._terms:
             for k2, c2 in other._terms:
                 k = k1 + k2
-                acc[k] = acc.get(k, Fraction(0)) + c1 * c2
+                acc[k] = acc.get(k, 0) + c1 * c2
         return LaurentScalar(acc)
 
     __rmul__ = __mul__
@@ -165,11 +196,11 @@ class LaurentScalar:
                 raise LaurentDivisionError(
                     "%s is not divisible by %s" % (self, divisor))
             shift = deg - den_deg
-            factor = num[deg] / den_lead
+            factor = _canonical(Fraction(num[deg], den_lead))
             quot[shift] = factor
             for k, c in den.items():
                 kk = k + shift
-                v = num.get(kk, Fraction(0)) - factor * c
+                v = num.get(kk, 0) - factor * c
                 if v:
                     num[kk] = v
                 else:

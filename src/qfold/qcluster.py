@@ -16,10 +16,10 @@ from fractions import Fraction
 
 from .laurent import (
     ONE,
-    ZERO,
     LaurentDivisionError,
     LaurentScalar,
     add_terms,
+    exact_int,
     qpower_ratio,
     scale_terms,
 )
@@ -215,7 +215,7 @@ class TorusElement:
     def __post_init__(self):
         object.__setattr__(
             self, "terms",
-            {tuple(int(x) for x in k): v for k, v in self.terms.items() if v})
+            {tuple(map(exact_int, k)): v for k, v in self.terms.items() if v})
 
     def is_zero(self):
         return not self.terms
@@ -233,16 +233,23 @@ class TorusElement:
         return TorusElement(self.torus, scale_terms(self.terms, scalar))
 
     def __mul__(self, other) -> "TorusElement":
+        """Coefficients accumulate as {exponent: rational} per output
+        exponent vector, which then gets one Laurent scalar."""
+        sigma = self.torus.sigma
         acc = {}
         for a, ca in self.terms.items():
             for b, cb in other.terms.items():
                 key = tuple(x + y for x, y in zip(a, b))
-                c = ca * cb * LaurentScalar.q_power(self.torus.sigma(a, b))
-                s = acc.get(key, ZERO) + c
-                if s:
-                    acc[key] = s
-                else:
-                    acc.pop(key, None)
+                coeffs = acc.get(key)
+                if coeffs is None:
+                    coeffs = acc[key] = {}
+                shift = sigma(a, b)
+                for k1, c1 in ca.terms:
+                    for k2, c2 in cb.terms:
+                        k = k1 + k2 + shift
+                        coeffs[k] = coeffs.get(k, 0) + c1 * c2
+        for key, coeffs in acc.items():
+            acc[key] = LaurentScalar(coeffs)
         return TorusElement(self.torus, acc)
 
     def __pow__(self, n: int) -> "TorusElement":

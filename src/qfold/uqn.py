@@ -293,24 +293,29 @@ def shuffle_product(x: ShuffleElement, y: ShuffleElement) -> ShuffleElement:
     sign makes the word realization multiplicative for the dual of the
     quantized enveloping algebra's coproduct; it is pinned down by the
     bar-product identity and the minor-squaring identity in the tests.
+
+    Coefficients accumulate as {exponent: rational} per output word, and
+    each output word gets one Laurent scalar at the end.
     """
     if x.datum != y.datum:
         raise TypeError("elements live over different Cartan data")
     datum = x.datum
-    acc = {}
     pairing = _pairing_table(datum)
+    acc = {}
     for u, cu in x.terms.items():
         for v, cv in y.terms.items():
-            base = cu * cv
-            for word, exponent in _interleavings(datum, pairing, u, v):
-                c = base * LaurentScalar.q_power(exponent)
-                prev = acc.get(word, ZERO) + c
-                if prev:
-                    acc[word] = prev
-                else:
-                    acc.pop(word, None)
-    weight = x.weight + y.weight
-    return ShuffleElement(datum, weight, acc)
+            base = (cu * cv).terms
+            for word, twists in _interleaving_table(pairing, u, v).items():
+                coeffs = acc.get(word)
+                if coeffs is None:
+                    coeffs = acc[word] = {}
+                for e, m in twists.items():
+                    for k, c in base:
+                        k += e
+                        coeffs[k] = coeffs.get(k, 0) + m * c
+    for word, coeffs in acc.items():
+        acc[word] = LaurentScalar(coeffs)
+    return ShuffleElement(datum, x.weight + y.weight, acc)
 
 
 def _pairing_table(datum):
@@ -320,24 +325,42 @@ def _pairing_table(datum):
             for r in range(n) for c in range(n)}
 
 
-def _interleavings(datum, pairing, u, v):
-    """Yield (word, twist exponent) over all interleavings of u and v."""
+def _interleaving_table(pairing, u, v):
+    """{word: {twist exponent: multiplicity}} over all interleavings of u, v.
 
-    def rec(iu, iv, exponent):
-        if iu == len(u) and iv == len(v):
-            yield (), exponent
-            return
-        if iu < len(u):
-            # u-letter placed now; every remaining v-letter stays after it.
-            for rest, e in rec(iu + 1, iv, exponent):
-                yield (u[iu],) + rest, e
-        if iv < len(v):
-            # v-letter placed before all remaining u-letters.
-            penalty = sum(pairing[(v[iv], u[k])] for k in range(iu, len(u)))
-            for rest, e in rec(iu, iv + 1, exponent - penalty):
-                yield (v[iv],) + rest, e
-
-    return rec(0, 0, 0)
+    The quantum shuffle recursion (Leclerc 2004), filled bottom-up over
+    suffix positions: the entry for (i, j) covers the interleavings of
+    u[i:] and v[j:].  Such a word starts with u[i], or with v[j], which then
+    precedes every remaining u-letter and lowers the exponent by their
+    pairings with it.  Equal words merge as soon as they meet.
+    """
+    lu, lv = len(u), len(v)
+    below = None  # the row of entries for i + 1
+    for i in range(lu, -1, -1):
+        row = [None] * (lv + 1)
+        for j in range(lv, -1, -1):
+            if i == lu and j == lv:
+                row[j] = {(): {0: 1}}
+                continue
+            # Entries of other cells are shared, never modified in place.
+            table = {}
+            if i < lu:
+                a = (u[i],)
+                for w, twists in below[j].items():
+                    table[a + w] = twists
+            if j < lv:
+                b = v[j]
+                shift = -sum(pairing[(b, u[k])] for k in range(i, lu))
+                for w, twists in row[j + 1].items():
+                    w = (b,) + w
+                    merged = dict(table.get(w, ()))
+                    for e, m in twists.items():
+                        e += shift
+                        merged[e] = merged.get(e, 0) + m
+                    table[w] = merged
+            row[j] = table
+        below = row
+    return below[0]
 
 
 def bar_element(x: ShuffleElement) -> ShuffleElement:

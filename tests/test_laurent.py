@@ -15,6 +15,7 @@ from qfold.laurent import (
     LaurentDivisionError,
     LaurentScalar,
     bar,
+    exact_int,
     parse_scalar,
     q_binomial,
     q_factorial,
@@ -166,3 +167,89 @@ def test_qpower_ratio_zero_and_non_units():
     assert qpower_ratio({k: c * (ONE + LaurentScalar.q_power(1))
                          for k, c in x.items()}, x) is None
     assert qpower_ratio({(0,): ONE}, {(1,): ONE}) is None
+
+
+# -- the canonical coefficient form -----------------------------------------
+
+_mixed_coeffs = (st.integers(-6, 6)
+                 | st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)))
+_mixed_scalars = st.dictionaries(st.integers(-4, 4), _mixed_coeffs,
+                                 max_size=4).map(LaurentScalar)
+
+
+def _assert_canonical(x):
+    for k, c in x.terms:
+        assert type(k) is int
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1)
+
+
+@given(_mixed_scalars, _mixed_scalars)
+def test_operations_keep_the_canonical_form(x, y):
+    for value in (x, y, x + y, x - y, -x, x * y, x * 2, x + Fraction(1, 2),
+                  bar(x), parse_scalar(str(x))):
+        _assert_canonical(value)
+    if y:
+        _assert_canonical((x * y).divexact(y))
+        for k, c in (x * y).divexact(y).terms:
+            assert dict(x.terms)[k] == c
+
+
+def test_int_and_fraction_coefficients_agree():
+    pairs = [
+        (LaurentScalar([(2, 3), (0, -1)]),
+         LaurentScalar([(2, Fraction(6, 2)), (0, Fraction(-1))])),
+        (LaurentScalar([(1, 1), (1, Fraction(1, 2))]),
+         LaurentScalar([(1, Fraction(3, 2))])),
+        (LaurentScalar([(0, Fraction(1, 3)), (0, Fraction(2, 3))]), ONE),
+    ]
+    for a, b in pairs:
+        assert a == b
+        assert hash(a) == hash(b)
+        assert str(a) == str(b)
+        assert a.terms == b.terms
+        _assert_canonical(a)
+        _assert_canonical(b)
+    assert ONE.terms == ((0, 1),) and type(ONE.terms[0][1]) is int
+
+
+@given(_mixed_scalars)
+def test_render_parse_roundtrip_property(x):
+    assert parse_scalar(str(x)) == x
+
+
+def test_divexact_with_non_integral_quotient():
+    half = parse_scalar("q + 1").divexact(LaurentScalar.from_rational(2))
+    assert half.terms == ((1, Fraction(1, 2)), (0, Fraction(1, 2)))
+    assert all(type(c) is Fraction for _, c in half.terms)
+    assert str(half) == "1/2*q + 1/2"
+    third = parse_scalar("2*q^2 - 2").divexact(parse_scalar("3*q + 3"))
+    assert third == parse_scalar("2/3*q - 2/3")
+    whole = parse_scalar("1/2*q + 1/2").divexact(parse_scalar("1/2"))
+    assert whole.terms == ((1, 1), (0, 1))
+    assert all(type(c) is int for _, c in whole.terms)
+
+
+def test_non_integral_exponents_and_float_coefficients_raise():
+    with pytest.raises(TypeError):
+        LaurentScalar([(1.5, 1)])
+    with pytest.raises(TypeError):
+        LaurentScalar([(1.0, 1)])
+    with pytest.raises(ValueError):
+        LaurentScalar([(Fraction(3, 2), 1)])
+    with pytest.raises(TypeError):
+        LaurentScalar([(0, 0.1)])
+    with pytest.raises(TypeError):
+        LaurentScalar({0: 1.0})
+    with pytest.raises(TypeError):
+        LaurentScalar.from_rational(0.5)
+    assert LaurentScalar([(Fraction(4, 2), 1)]) == LaurentScalar.q_power(2)
+    assert LaurentScalar([(True, 1)]) == LaurentScalar.q_power(1)
+
+
+def test_exact_int():
+    assert exact_int(3) == 3 and type(exact_int(Fraction(6, 2))) is int
+    assert type(exact_int(True)) is int
+    for bad, error in ((2.0, TypeError), (Fraction(1, 2), ValueError),
+                       ("2", TypeError)):
+        with pytest.raises(error):
+            exact_int(bad)

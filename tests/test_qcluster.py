@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -116,6 +117,17 @@ def test_torus_arithmetic():
     assert torus_qcommute(x1, x2) == 3
     assert x1 * x1.inverse() == torus.unit()
     assert (x1 + x2) * (x1 + x2) == x1 * x1 + x1 * x2 + x2 * x1 + x2 * x2
+
+
+def test_torus_exponents_must_be_integers():
+    torus = QuantumTorus((1, 2), ((0, 3), (-3, 0)))
+    for bad, error in (((1.0, 0), TypeError), ((0.5, 1), TypeError),
+                       ((Fraction(1, 2), 0), ValueError)):
+        with pytest.raises(error):
+            torus.element({bad: ONE})
+    x = torus.element({(Fraction(2), 1): ONE})
+    assert x == torus.element({(2, 1): ONE})
+    assert all(type(e) is int for key in x.terms for e in key)
 
 
 def test_torus_bar_plain():

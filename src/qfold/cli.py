@@ -105,7 +105,7 @@ def _resolved(config):
     spec = _require(config, "input")
     try:
         return resolve_input(spec), spec
-    except (InvalidQuiverError, ValueError, KeyError) as exc:
+    except (InvalidQuiverError, ValueError, KeyError, TypeError) as exc:
         raise InputError(str(exc)) from exc
 
 

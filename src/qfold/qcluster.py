@@ -220,9 +220,6 @@ class TorusElement:
     def is_zero(self):
         return not self.terms
 
-    def is_monomial(self):
-        return len(self.terms) == 1
-
     def __add__(self, other):
         return TorusElement(self.torus, add_terms(self.terms, other.terms))
 
@@ -252,25 +249,9 @@ class TorusElement:
             acc[key] = LaurentScalar(coeffs)
         return TorusElement(self.torus, acc)
 
-    def __pow__(self, n: int) -> "TorusElement":
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = self.torus.unit()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def inverse(self) -> "TorusElement":
-        if not self.is_monomial():
-            raise TorusDivisionError("only monomials invert inside the torus")
-        (exp, coeff), = self.terms.items()
-        neg = tuple(-x for x in exp)
-        c = ONE.divexact(coeff) * LaurentScalar.q_power(-self.torus.sigma(exp, neg))
-        return TorusElement(self.torus, {neg: c})
+    def left_divide(self, dividend) -> "TorusElement":
+        """The Z with self * Z = dividend; see left_divide."""
+        return left_divide(self, dividend)
 
     def leading(self):
         exp = max(self.terms)
@@ -362,12 +343,15 @@ class ParityError(ValueError):
 @dataclass(frozen=True)
 class QuantumSeed:
     """A compatible pair with degree data and cluster variables realized in
-    the initial quantum torus."""
+    one algebra: the initial quantum torus, or the shuffle algebra through
+    quantum minors.  The variables are added, scaled, multiplied, barred
+    (bar()) and left-divided (left_divide(dividend)) by their own methods;
+    unit is the unit element of their algebra."""
 
     pair: CompatiblePair
     degrees: dict        # label -> Root (the weight of the cluster variable)
-    variables: dict      # label -> TorusElement
-    torus: QuantumTorus
+    variables: dict      # label -> TorusElement or ShuffleElement
+    unit: object
 
     def __post_init__(self):
         for s in self.pair.labels:
@@ -399,7 +383,7 @@ def initial_seed(pair: CompatiblePair, degrees) -> QuantumSeed:
                           for t in pair.labels) for s in pair.labels)
     torus = QuantumTorus(pair.labels, pair.lam, pairing)
     variables = {s: torus.generator(s) for s in pair.labels}
-    return QuantumSeed(pair, dict(degrees), variables, torus)
+    return QuantumSeed(pair, dict(degrees), variables, torus.unit())
 
 
 def monomial_prefactor(a: dict, labels, degrees, lam) -> int:
@@ -425,23 +409,24 @@ def monomial_prefactor(a: dict, labels, degrees, lam) -> int:
     return p // 4
 
 
-def normalized_monomial(a, seed: QuantumSeed) -> TorusElement:
+def normalized_monomial(a, seed: QuantumSeed):
     """The bar-invariant normalized monomial Y^a in the seed's variables,
-    with the q-power prefactor of monomial_prefactor."""
+    with the q-power prefactor of monomial_prefactor: the seed's unit
+    times one variable at a time, in label order."""
     labels = seed.pair.labels
-    a = {s: int(a[s]) if isinstance(a, dict) else int(a[labels.index(s)])
+    a = {s: exact_int(a[s] if isinstance(a, dict) else a[labels.index(s)])
          for s in labels}
     if any(v < 0 for v in a.values()):
         raise ValueError("monomial exponents must be nonnegative")
     p4 = monomial_prefactor(a, labels, seed.degrees, seed.pair.lam)
-    result = seed.torus.unit().scale(LaurentScalar.q_power(p4))
+    result = seed.unit.scale(LaurentScalar.q_power(p4))
     for s in labels:
-        if a[s]:
-            result = result * seed.variables[s] ** a[s]
+        for _ in range(a[s]):
+            result = result * seed.variables[s]
     return result
 
 
-def bar_defect(x: TorusElement):
+def bar_defect(x):
     """The integer m with bar(x) = q^m x, or None when x is not a q-power
     multiple of a self-dual element."""
     return qpower_ratio(x.bar().terms, x.terms)
@@ -459,21 +444,27 @@ def exchange_monomials(pair: CompatiblePair, k):
             {t: max(-b, 0) for t, b in column.items()}, e[k])
 
 
-def mutate_seed(seed: QuantumSeed, k) -> QuantumSeed:
-    """Quantum seed mutation.
-
-    The raw exchange Y_k' = Y_k^{-1} (Y^{a+} + q^{e_k} Y^{a-}) is computed
-    by exact division inside the initial torus, then renormalized by the
-    unique power of q making the new variable self-dual.  That power is
-    zero for the small instances where the printed exchange relation is on
-    the nose; in general the relation acquires an overall q-shift (the
-    categorified sequence carries a grading twist), and self-duality of
-    cluster variables is the invariant that pins the normalization.
-    """
+def exchange_rhs(seed: QuantumSeed, k):
+    """Y^{a+} + q^{e_k} Y^{a-} of direction k in the seed's variables (see
+    exchange_monomials)."""
     a_plus, a_minus, e_k = exchange_monomials(seed.pair, k)
-    rhs = normalized_monomial(a_plus, seed) \
+    return normalized_monomial(a_plus, seed) \
         + normalized_monomial(a_minus, seed).scale(LaurentScalar.q_power(e_k))
-    new_var = left_divide(seed.variables[k], rhs)
+
+
+def mutated_variable(seed: QuantumSeed, k):
+    """The exchange step: the new cluster variable Y_k' of direction k.
+
+    The raw exchange Y_k^{-1} (Y^{a+} + q^{e_k} Y^{a-}) is an exact left
+    division in the seed's algebra, then renormalized by the unique power
+    of q making the new variable self-dual.  That power is zero for the
+    small instances where the printed exchange relation is on the nose; in
+    general the relation acquires an overall q-shift (the categorified
+    sequence carries a grading twist), and self-duality of cluster
+    variables is the invariant that pins the normalization.
+    """
+    rhs = exchange_rhs(seed, k)
+    new_var = seed.variables[k].left_divide(rhs)
     defect = bar_defect(new_var)
     if defect is None or defect % 2:
         raise CompatibilityError(
@@ -481,17 +472,19 @@ def mutate_seed(seed: QuantumSeed, k) -> QuantumSeed:
             "self-dual element" % (k,))
     if defect:
         new_var = new_var.scale(LaurentScalar.q_power(defect // 2))
-    datum = seed.degrees[k].datum
-    new_degree = Root(datum, (0,) * datum.rank)
-    for t in seed.pair.labels:
-        new_degree = new_degree + a_plus[t] * seed.degrees[t]
-    new_degree = new_degree - seed.degrees[k]
-    degrees = dict(seed.degrees)
-    degrees[k] = new_degree
+    return new_var
+
+
+def mutate_seed(seed: QuantumSeed, k) -> QuantumSeed:
+    """Quantum seed mutation: the exchange step of mutated_variable, the
+    degree deg(Y^{a+}) - deg(Y_k) of the new variable, and mutate_pair."""
     variables = dict(seed.variables)
-    variables[k] = new_var
+    variables[k] = mutated_variable(seed, k)
+    degrees = dict(seed.degrees)
+    degrees[k] = sum((max(seed.pair.b_entry(t, k), 0) * seed.degrees[t]
+                      for t in seed.pair.labels), -seed.degrees[k])
     return QuantumSeed(mutate_pair(seed.pair, k), degrees, variables,
-                       seed.torus)
+                       seed.unit)
 
 
 def specialize_classical(x: TorusElement) -> dict:

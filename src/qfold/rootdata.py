@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .laurent import exact_int
+
 
 @dataclass(frozen=True)
 class CartanDatum:
@@ -29,9 +31,9 @@ class CartanDatum:
         n = len(self.indices)
         object.__setattr__(self, "indices", tuple(self.indices))
         object.__setattr__(self, "cartan",
-                           tuple(tuple(int(x) for x in row) for row in self.cartan))
+                           tuple(tuple(map(exact_int, row)) for row in self.cartan))
         object.__setattr__(self, "symmetrizers",
-                           tuple(int(x) for x in self.symmetrizers))
+                           tuple(map(exact_int, self.symmetrizers)))
         if len(set(self.indices)) != n:
             raise ValueError("duplicate index labels")
         if len(self.cartan) != n or any(len(r) != n for r in self.cartan):
@@ -80,7 +82,7 @@ class CartanDatum:
         return Weight(self, tuple(coords))
 
     def root(self, coords) -> "Root":
-        return Root(self, tuple(int(c) for c in coords))
+        return Root(self, tuple(map(exact_int, coords)))
 
 
 def cartan_datum(family: str, rank: int) -> CartanDatum:

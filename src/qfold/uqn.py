@@ -23,6 +23,7 @@ from .laurent import (
     LaurentDivisionError,
     LaurentScalar,
     add_terms,
+    exact_int,
     q_binomial,
     q_factorial,
     q_int,
@@ -48,7 +49,7 @@ class FWord:
 
     def __post_init__(self):
         object.__setattr__(self, "letters",
-                           tuple((i, int(c)) for i, c in self.letters))
+                           tuple((i, exact_int(c)) for i, c in self.letters))
         if any(c < 1 for _, c in self.letters):
             raise ValueError("divided-power exponents must be positive")
 
@@ -232,6 +233,19 @@ class ShuffleElement:
     def scale(self, scalar) -> "ShuffleElement":
         return ShuffleElement(self.datum, self.weight,
                               scale_terms(self.terms, scalar))
+
+    # These call the module functions by name instead of aliasing them, so
+    # that rebinding a module function (as a tracer does) reaches them too.
+
+    def __mul__(self, other) -> "ShuffleElement":
+        return shuffle_product(self, other)
+
+    def bar(self) -> "ShuffleElement":
+        return bar_element(self)
+
+    def left_divide(self, dividend) -> "ShuffleElement":
+        """The z with self * z = dividend; see shuffle_divide_left."""
+        return shuffle_divide_left(self, dividend)
 
     def __str__(self):
         if self.is_zero():

@@ -71,12 +71,10 @@ def _instance(tag):
             context = OracleContext(datum)
             from qfold.verify import _orbit_word, oracle_seed_data
             oword = _orbit_word(datum, quiver, word)
-            labels, minors, lam, exchange, degrees = oracle_seed_data(
-                datum, word, quiver, context)
+            seed = oracle_seed_data(datum, word, quiver, context)
             return dict(input=input_spec, word=word, datum=datum,
-                        quiver=quiver, oword=oword, labels=labels,
-                        minors=minors, lam=lam, exchange=exchange,
-                        degrees=degrees, context=context)
+                        quiver=quiver, oword=oword, minors=seed.variables,
+                        context=context)
     raise KeyError(tag)
 
 

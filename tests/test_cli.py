@@ -213,6 +213,21 @@ def test_raw_cartan_datum_input(tmp_path, capsys):
     assert "symmetrizable" in err
 
 
+@pytest.mark.parametrize("spec", [
+    {"indices": [1, 2], "cartan": [[2, -1], [-1, 2]],
+     "symmetrizers": [1.0, 1.0]},
+    {"type": ["A", 2.5]},
+])
+def test_float_in_config_is_input_error(tmp_path, capsys, spec):
+    # The schema admits these numbers; the datum rejects them instead of
+    # rounding them to A2.
+    path = _write(tmp_path, {"input": spec, "word": [1, 2, 1]})
+    code, out, err = _run(capsys, ["seed-init", "--config", path])
+    assert code == 2
+    assert out == ""
+    assert err
+
+
 def test_outputs_are_deterministic(tmp_path, capsys):
     path = _write(tmp_path, {"input": {"type": ["A", 2]}, "word": [1, 2, 1]})
     _, out1, _ = _run(capsys, ["seed-init", "--config", path])

@@ -1,14 +1,16 @@
-"""Source hygiene: no module imports a name it never uses, and the exact
-arithmetic modules use no true division and no float literal.
+"""Source hygiene: no module imports a name it never uses, the exact
+arithmetic modules use no true division and no float literal, and every
+function the benchmark's traced run wraps still exists.
 
-Both are AST scans.  The import scan covers src/qfold, tests and demos; the
-module-level imports of a package's __init__.py are its re-exports and are
-exempt.
+The first two are AST scans.  The import scan covers src/qfold, tests and
+demos; the module-level imports of a package's __init__.py are its
+re-exports and are exempt.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -105,3 +107,48 @@ def test_scan_catches_true_division_and_floats(tmp_path):
     assert inexact_arithmetic(module) == [
         (2, "true division"), (3, "float literal 0.5"),
         (4, "true division"), (6, "float literal 1000.0")]
+
+
+def perfbench_layers():
+    """(module, qualname) of every entry of LAYERS in perfbench/layers.py,
+    read without importing the benchmark."""
+    path = ROOT / "perfbench" / "layers.py"
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "LAYERS"
+                for t in node.targets):
+            return [(module, qualname) for _, module, qualname, _, _
+                    in ast.literal_eval(node.value)]
+    raise AssertionError("perfbench/layers.py defines no LAYERS")
+
+
+def unpatchable(layers):
+    """The (module, qualname) pairs the traced run could not wrap.  As in
+    perfbench's Tracer.patch, the owner is reached by getattr along the
+    qualname and the function must be in the owner's own vars(), so an
+    inherited or missing attribute does not count."""
+    missing = []
+    for module_name, qualname in layers:
+        owner = importlib.import_module(module_name)
+        *owner_path, attr = qualname.split(".")
+        try:
+            for part in owner_path:
+                owner = getattr(owner, part)
+            vars(owner)[attr]
+        except (AttributeError, KeyError):
+            missing.append((module_name, qualname))
+    return missing
+
+
+def test_perfbench_layers_resolve():
+    layers = perfbench_layers()
+    assert len(layers) > 30
+    assert unpatchable(layers) == []
+
+
+def test_layer_check_catches_missing_functions():
+    layers = [("qfold.verify", "normalized_shuffle_monomial"),
+              ("qfold.verify", "no_such_function"),
+              ("qfold.uqn", "NoSuchClass.method"),
+              ("qfold.uqn", "ShuffleElement.__format__")]
+    assert unpatchable(layers) == layers[1:]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -40,6 +41,21 @@ def test_datum_validation():
     with pytest.raises(ValueError):
         datum_from_json({"indices": [1, 2], "cartan": [[2, -1], [-2, 2]],
                          "symmetrizers": [1, 1]})
+
+
+def test_datum_and_roots_reject_non_integers():
+    # A float entry or symmetrizer is rejected, not rounded (to A2 here).
+    for cartan, d in ((((2, -1.5), (-1, 2)), (1, 1)),
+                      (((2, -1), (-1, 2)), (1.7, 1.2)),
+                      (((2, -1), (-1, 2)), (1.0, 1.0))):
+        with pytest.raises(TypeError):
+            CartanDatum((1, 2), cartan, d)
+    with pytest.raises(ValueError):
+        CartanDatum((1, 2), ((2, -1), (-1, 2)), (Fraction(3, 2), 1))
+    assert CartanDatum((1, 2), ((2, Fraction(-1)), (-1, 2)), (1, 1)) == A2
+    with pytest.raises(TypeError):
+        A2.root((1.9, 0))
+    assert A2.root((Fraction(2), 0)).coords == (2, 0)
 
 
 def test_reflect_simple_cases():

@@ -64,6 +64,15 @@ def test_shapovalov_basic():
     assert shapovalov(v, v, ctx2) == ONE
 
 
+def test_fword_rejects_non_integer_exponents():
+    omega = A2.fundamental_weight(1)
+    with pytest.raises(TypeError):
+        FWord(omega, ((1, 1.5),))
+    with pytest.raises(TypeError):
+        FWord(omega, ((1, 1.0),))
+    assert FWord(omega, ((1, 1),)).letters == ((1, 1),)
+
+
 def test_shapovalov_mismatched_weights():
     with pytest.raises(ValueError):
         shapovalov(FWord(A2.fundamental_weight(1), ()),

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
+import realization_reference
 from minor_search_reference import reference_name
 from qfold.laurent import LaurentScalar
+from qfold.qcluster import mutate_seed, normalized_monomial
 from qfold.rootdata import bilinear_form, cartan_datum
 from qfold.uqn import (
     MinorSpec,
@@ -27,6 +31,7 @@ from qfold.verify import (
     check_square_identity,
     check_word_independence,
     load_catalog,
+    normalized_shuffle_monomial,
     realized_exchange_graph,
     resolve_input,
     run_catalog,
@@ -51,6 +56,13 @@ def test_initial_lambda_pass():
     assert r.passed
     r = check_initial_lambda(C2_QUIVER, (1, 2, 1, 2))
     assert r.passed and "'1': 2" in r.details
+
+
+def test_resolve_input_rejects_a_float_rank():
+    with pytest.raises(TypeError):
+        resolve_input({"type": ["A", 2.5]})
+    with pytest.raises(TypeError):
+        resolve_input({"type": ["A", 2.0]})
 
 
 def test_symmetrizable_without_quiver_rejected():
@@ -86,11 +98,11 @@ def test_minor_names_match_exhaustive_search(input_spec, word, slow,
     if slow and not slow_enabled:
         pytest.skip("needs --slow")
     datum, quiver = resolve_input(input_spec)
-    _, realizations = realized_exchange_graph(datum, word, quiver)
+    seeds = realized_exchange_graph(datum, word, quiver)
     context = OracleContext(datum)
     names = []
-    for element in dict.fromkeys(el for real in realizations
-                                 for el in real.values()):
+    for element in dict.fromkeys(el for seed in seeds
+                                 for el in seed.variables.values()):
         name = _name_among_minors(datum, element, context)
         assert name == reference_name(datum, element, context), str(element)
         names.append(name)
@@ -182,18 +194,50 @@ def test_realized_variables_qcommute_by_seed_lambda(input_spec, word, slow,
     if slow and not slow_enabled:
         pytest.skip("needs --slow")
     datum, quiver = resolve_input(input_spec)
-    seeds, realizations = realized_exchange_graph(datum, word, quiver)
-    for seed, real in zip(seeds, realizations):
+    for seed in realized_exchange_graph(datum, word, quiver):
         labels = seed.pair.labels
+        real = seed.variables
         for a, s in enumerate(labels):
             for t in labels[a + 1:]:
                 assert qcommute_exponent(real[s], real[t]) \
                     == seed.pair.lam_entry(s, t), (s, t)
 
 
+@pytest.mark.parametrize("input_spec, word, slow", REALIZED_GRAPHS)
+def test_realization_matches_reference(input_spec, word, slow, slow_enabled):
+    # Differential: the one exchange step on torus and shuffle seeds against
+    # the separate torus and shuffle copies in realization_reference.
+    if slow and not slow_enabled:
+        pytest.skip("needs --slow")
+    datum, quiver = resolve_input(input_spec)
+    realized = realized_exchange_graph(datum, word, quiver)
+    seeds, realizations = realization_reference.realized_exchange_graph(
+        datum, word, quiver)
+    assert [(s.pair, s.degrees) for s in realized] \
+        == [(s.pair, s.degrees) for s in seeds]
+    assert [s.variables for s in realized] == realizations
+    for torus_seed, seed in zip(seeds, realized):
+        for k in seed.pair.exchangeable:
+            assert mutate_seed(torus_seed, k) \
+                == realization_reference.mutate_seed(torus_seed, k)
+        labels = seed.pair.labels
+        # Every monomial of degree at most 2, squares included.
+        for chosen in itertools.chain.from_iterable(
+                itertools.combinations_with_replacement(labels, size)
+                for size in range(3)):
+            e = dict.fromkeys(labels, 0)
+            for s in chosen:
+                e[s] += 1
+            assert normalized_shuffle_monomial(e, seed) \
+                == realization_reference.normalized_shuffle_monomial(
+                    e, labels, seed.variables, seed.degrees, seed.pair.lam)
+            assert normalized_monomial(e, torus_seed) \
+                == realization_reference.normalized_monomial(e, torus_seed)
+
+
 def test_realized_exchange_graph_bound():
     datum, quiver = resolve_input(C2_QUIVER)
-    seeds, _ = realized_exchange_graph(datum, (1, 2, 1, 2), quiver, bound=6)
+    seeds = realized_exchange_graph(datum, (1, 2, 1, 2), quiver, bound=6)
     assert len(seeds) == 6
     with pytest.raises(RuntimeError, match="exchange graph exceeded bound"):
         realized_exchange_graph(datum, (1, 2, 1, 2), quiver, bound=5)

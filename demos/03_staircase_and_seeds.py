@@ -1,9 +1,10 @@
-"""Staircase quivers and oracle-backed initial seeds.
+"""Staircase quivers and initial seeds realized by the oracle's minors.
 
 The staircase quiver of a reduced word carries the initial exchange matrix;
 for folded types the matrix is orbit-summed from the unfolded staircase.
-The commutation matrix Lambda comes from actual q-commutation exponents of
-the initial minors, and the two structures are compatible: Lambda B = -2E.
+The commutation matrix Lambda comes from the degrees of the initial minors
+(verify's initial_lambda check q-commutes the minors to confirm it), and
+the two structures are compatible: Lambda B = -2E.
 """
 
 from qfold.folding import QuiverWithAut, fold, underlying_datum
@@ -15,7 +16,7 @@ from qfold.initquiver import (
 )
 from qfold.qcluster import check_compatible
 from qfold.rootdata import CartanDatum, cartan_datum
-from qfold.verify import build_seed
+from qfold.verify import oracle_seed_data
 
 # --- A rank-3 staircase with large multiplicities ----------------------------
 
@@ -44,10 +45,10 @@ for row in exchange.matrix:
 
 # --- The oracle seed -----------------------------------------------------------
 
-seed, minors = build_seed(fold(a3).datum, (1, 2, 1, 2), a3)
+seed = oracle_seed_data(fold(a3).datum, (1, 2, 1, 2), a3)
 print("\noracle Lambda:")
 for row in seed.pair.lam:
     print("   ", row)
 print("compatibility: Lambda B = -2E with E =", check_compatible(seed.pair))
-for t in sorted(minors):
-    print("Y%d = %s" % (t, minors[t]))
+for t in sorted(seed.variables):
+    print("Y%d = %s" % (t, seed.variables[t]))

@@ -6,9 +6,14 @@ verification harness replays the structural identities on catalogued
 instances and reports machine-readable results.
 """
 
-from qfold.qcluster import enumerate_exchange_graph, mutate_seed, specialize_classical
+from qfold.initquiver import initial_pair
+from qfold.qcluster import (
+    enumerate_exchange_graph,
+    initial_seed,
+    mutate_seed,
+    specialize_classical,
+)
 from qfold.verify import (
-    build_seed,
     check_exchange_relation,
     check_word_independence,
     load_catalog,
@@ -19,7 +24,7 @@ from qfold.verify import (
 # --- One mutation, concretely ---------------------------------------------
 
 datum, _ = resolve_input({"type": ["A", 2]})
-seed, minors = build_seed(datum, (1, 2, 1))
+seed = initial_seed(*initial_pair(datum, (1, 2, 1)))
 mutated = mutate_seed(seed, 1)
 print("initial Y1:", seed.variables[1])
 print("mutated Y1':", mutated.variables[1])
@@ -40,7 +45,7 @@ print("\nA2 exchange graph: %d seeds, %d distinct cluster variables"
 c2_input = {"quiver": {"vertices": [1, 2, 3], "edges": [[1, 2], [3, 2]],
                        "automorphism": {"1": 3, "2": 2, "3": 1}}}
 c2_datum, c2_quiver = resolve_input(c2_input)
-c2_seed, _ = build_seed(c2_datum, (1, 2, 1, 2), c2_quiver)
+c2_seed = initial_seed(*initial_pair(c2_datum, (1, 2, 1, 2), c2_quiver))
 c2_graph = enumerate_exchange_graph(c2_seed)
 print("C2 exchange graph: %d seeds, %d distinct cluster variables"
       % (len(c2_graph.seeds), len(c2_graph.cluster_variables())))

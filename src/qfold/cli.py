@@ -16,18 +16,26 @@ import jsonschema
 
 from . import verify as verify_mod
 from .folding import InvalidQuiverError, fold, quiver_from_json
-from .initquiver import fold_exchange_matrix, quiver_to_dot
+from .initquiver import (
+    exchange_to_json,
+    fold_exchange_matrix,
+    initial_pair,
+    quiver_to_dot,
+    resolve_word,
+    staircase,
+)
 from .qcluster import (
     CompatibilityError,
     TorusDivisionError,
     check_compatible,
     enumerate_exchange_graph,
+    initial_seed,
     mutate_seed,
     seed_to_json,
 )
 from .rootdata import datum_to_json, inversion_roots, is_reduced
 from .uqn import shuffle_to_json
-from .verify import build_seed, resolve_input
+from .verify import oracle_seed_data, resolve_input
 
 CONFIG_SCHEMA = {
     "type": "object",
@@ -35,7 +43,9 @@ CONFIG_SCHEMA = {
         "input": {
             "type": "object",
             "properties": {
-                "type": {"type": "array", "minItems": 2, "maxItems": 2},
+                "type": {"type": "array", "minItems": 2, "maxItems": 2,
+                         "prefixItems": [{"type": "string"},
+                                         {"type": "integer"}]},
                 "quiver": {
                     "type": "object",
                     "properties": {
@@ -96,7 +106,7 @@ def _word(config, datum, quiver):
     word = tuple(tuple(x) if isinstance(x, list) else x
                  for x in _require(config, "word"))
     try:
-        return verify_mod._orbit_word(datum, quiver, word)
+        return resolve_word(datum, word, quiver)
     except KeyError as exc:
         raise InputError(exc.args[0]) from exc
 
@@ -137,20 +147,11 @@ def cmd_roots(config, args):
     return 0
 
 
-def _staircase(config):
-    (datum, quiver), _ = _resolved(config)
-    return verify_mod.staircase(datum, _word(config, datum, quiver), quiver)
-
-
 def cmd_initquiver(config, args):
-    try:
-        ice, orbits = _staircase(config)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    ice, orbits = _from_word(config, staircase)
     if args.dot:
         sys.stdout.write(quiver_to_dot(ice))
         return 0
-    from .initquiver import exchange_to_json
     data = {"word": [str(x) for x in ice.word],
             "arrows": [list(a) for a in ice.arrows],
             "frozen": sorted(ice.frozen),
@@ -159,15 +160,22 @@ def cmd_initquiver(config, args):
     return 0
 
 
-def _seed(config):
+def _from_word(config, build):
+    """build(datum, word, quiver) on the config's input and word; its
+    ValueError (a symmetrizable datum without its quiver, a word that is
+    not reduced) is an input error."""
     (datum, quiver), _ = _resolved(config)
     word = _word(config, datum, quiver)
     try:
-        seed, minors = build_seed(datum, word, quiver)
-    except (ValueError, verify_mod.QCommutationFailure,
-            CompatibilityError) as exc:
+        return build(datum, word, quiver)
+    except ValueError as exc:
         raise InputError(str(exc)) from exc
-    return seed, minors
+
+
+def _oracle_seed(config):
+    """The initial torus seed and the oracle's initial minors."""
+    realized = _from_word(config, oracle_seed_data)
+    return initial_seed(realized.pair, realized.degrees), realized.variables
 
 
 def _seed_payload(seed, minors=None):
@@ -181,13 +189,13 @@ def _seed_payload(seed, minors=None):
 
 
 def cmd_seed_init(config, args):
-    seed, minors = _seed(config)
+    seed, minors = _oracle_seed(config)
     _emit(_seed_payload(seed, minors))
     return 0
 
 
 def cmd_mutate(config, args):
-    seed, minors = _seed(config)
+    seed, minors = _oracle_seed(config)
     trace = [_seed_payload(seed, minors)]
     current = seed
     for step in config.get("mutations", []):
@@ -204,7 +212,7 @@ def cmd_mutate(config, args):
 
 
 def cmd_enumerate(config, args):
-    seed, _ = _seed(config)
+    seed = initial_seed(*_from_word(config, initial_pair))
     graph = enumerate_exchange_graph(seed, bound=args.max_steps)
     variables = graph.cluster_variables()
     _emit({"seeds": len(graph.seeds),

@@ -1,5 +1,6 @@
 """The staircase quiver of a reduced word, frozen vertices, initial cluster
-variable labels, and the orbit-summed exchange matrix.
+variable labels, the orbit-summed exchange matrix, and the initial
+compatible pair built from the word alone.
 
 Vertices sit at (t, i_t) for the letters of the word; the rightmost vertex
 of each row is frozen.  Horizontal arrows run right-to-left between row
@@ -12,8 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .folding import QuiverWithAut, unfolded_blocks
-from .rootdata import CartanDatum, is_reduced
+from .folding import QuiverWithAut, orbit_word, underlying_datum, unfolded_blocks
+from .qcluster import CompatiblePair
+from .rootdata import CartanDatum, apply_word, bilinear_form, is_reduced
 from .uqn import MinorSpec
 
 
@@ -188,6 +190,62 @@ def vertex_orbits_from_unfolding(j_word, quiver: QuiverWithAut):
             nxt = perm[nxt]
         orbits.append(tuple(sorted(cycle)))
     return tuple(unfolded), orbits, perm
+
+
+def staircase(datum, word, quiver=None):
+    """(staircase quiver, position orbits to sum it over) of a word; with a
+    quiver with automorphism the staircase is built on the unfolded word."""
+    if quiver is None:
+        return build_initial_quiver(word, datum), None
+    unfolded, orbits, _ = vertex_orbits_from_unfolding(word, quiver)
+    return build_initial_quiver(unfolded, underlying_datum(quiver)), orbits
+
+
+def resolve_word(datum, word, quiver=None):
+    """A word's letters as the datum's index labels (orbits of a quiver
+    input); KeyError for a letter outside them."""
+    if quiver is not None:
+        return orbit_word(word, quiver)
+    for letter in word:
+        datum.pos(letter)
+    return tuple(word)
+
+
+def initial_pair(datum, word, quiver=None):
+    """(initial compatible pair over positions 1..n, {t: beta_t}) of a
+    reduced word, from the word alone.
+
+    beta_t = w_{i_t} - s_{i_1}...s_{i_t} w_{i_t} is the degree of Y_t.  For
+    s < t, Lambda_st = (beta_s, beta_t) - 2 d_{i_t} [beta_s : alpha_{i_t}],
+    where [beta : alpha] is the coefficient of alpha in beta (Geiss-Leclerc-
+    Schroer 2013, Kimura 2012, in this package's conventions).  B is the
+    staircase matrix, orbit-summed when a quiver with automorphism is given.
+    """
+    if quiver is None and any(d != 1 for d in datum.symmetrizers):
+        raise ValueError(
+            "symmetrizable datum given without its quiver-with-automorphism: "
+            "the exchange matrix must be orbit-summed from the unfolded "
+            "staircase, so pass the quiver input instead")
+    word = resolve_word(datum, word, quiver)
+    if not is_reduced(datum, word):
+        raise ValueError("word %r is not reduced" % (word,))
+    labels = tuple(range(1, len(word) + 1))
+    betas = []
+    for t, i in enumerate(word, 1):
+        omega = datum.fundamental_weight(i)
+        betas.append((omega - apply_word(word[:t], omega)).to_root())
+    lam = [[0] * len(word) for _ in word]
+    for t, i in enumerate(word):
+        for s in range(t):
+            value = bilinear_form(betas[s], betas[t]) \
+                - 2 * datum.d(i) * betas[s].coords[datum.pos(i)]
+            lam[s][t] = value
+            lam[t][s] = -value
+    exchange = fold_exchange_matrix(*staircase(datum, word, quiver))
+    ex_labels = tuple(exchange.labels.index(o) + 1
+                      for o in exchange.exchangeable)
+    pair = CompatiblePair(labels, ex_labels, lam, exchange.matrix)
+    return pair, dict(zip(labels, betas))
 
 
 def check_orbit_action_preserves_quiver(ice: IceQuiver, perm) -> bool:

@@ -23,10 +23,13 @@ class LaurentDivisionError(ArithmeticError):
 def exact_int(x) -> int:
     """x as an int; raises instead of rounding a float or a non-integer.
 
-    Integers and integral Fractions are accepted; a float raises TypeError.
+    Integers and integral Fractions are accepted; a float or a bool raises
+    TypeError.
     """
     if type(x) is int:
         return x
+    if isinstance(x, bool):
+        raise TypeError("%r is a bool, not an integer" % x)
     if isinstance(x, Fraction):
         if x.denominator != 1:
             raise ValueError("%s is not an integer" % x)
@@ -36,10 +39,10 @@ def exact_int(x) -> int:
 
 def _canonical(c):
     """An exact rational as an int when integral, else as a Fraction; a
-    float raises TypeError."""
+    float or a bool raises TypeError."""
     if isinstance(c, Fraction):
         return c.numerator if c.denominator == 1 else c
-    return operator.index(c)
+    return exact_int(c)
 
 
 class LaurentScalar:
@@ -97,9 +100,6 @@ class LaurentScalar:
     def is_integral(self) -> bool:
         """True when every coefficient is an integer."""
         return all(type(c) is int for _, c in self._terms)
-
-    def is_monomial(self) -> bool:
-        return len(self._terms) == 1
 
     def min_exponent(self) -> int:
         if not self._terms:
@@ -241,7 +241,6 @@ def _coerce(x):
 
 ZERO = LaurentScalar.zero()
 ONE = LaurentScalar.one()
-Q = LaurentScalar.q_power(1)
 
 
 def q_int(n: int, d: int = 1) -> LaurentScalar:

@@ -274,11 +274,7 @@ def inversion_roots(datum, word):
 
 def is_reduced(datum, word) -> bool:
     """A word is reduced iff every inversion root is positive."""
-    word = tuple(word)
-    for k, i in enumerate(word):
-        if not apply_word(word[:k], datum.simple_root(i)).is_positive():
-            return False
-    return True
+    return all(b.is_positive() for b in inversion_roots(datum, word))
 
 
 def bilinear_form(u, v):
@@ -347,9 +343,7 @@ def dominance_leq(mu: Weight, eta: Weight) -> bool:
 
 def weyl_equal(datum: CartanDatum, word1, word2) -> bool:
     """Equality of Weyl group elements given by words (action on all omega_i)."""
-    return all(apply_word(word1, datum.fundamental_weight(i))
-               == apply_word(word2, datum.fundamental_weight(i))
-               for i in datum.indices)
+    return _weyl_key(datum, word1) == _weyl_key(datum, word2)
 
 
 def _weyl_key(datum, word):

@@ -21,6 +21,7 @@ from qfold.qcluster import (
     bar_defect,
     enumerate_exchange_graph,
     exchange_monomials,
+    initial_seed,
     left_divide,
     monomial_prefactor,
     mutate_pair,
@@ -32,7 +33,7 @@ from qfold.uqn import (
     shuffle_product,
     unit_element,
 )
-from qfold.verify import build_seed
+from qfold.verify import oracle_seed_data
 
 
 def torus_power(x, n):
@@ -108,7 +109,9 @@ def _exchange_rhs(pair, k, variables, degrees):
 def realized_exchange_graph(datum, word, quiver=None, bound=200):
     """(torus seeds of the exchange graph, one {label: shuffle element}
     per seed)."""
-    seed, minors = build_seed(datum, word, quiver)
+    realized = oracle_seed_data(datum, word, quiver)
+    seed = initial_seed(realized.pair, realized.degrees)
+    minors = realized.variables
     graph = enumerate_exchange_graph(seed, bound)
     if not graph.complete:
         raise RuntimeError("exchange graph exceeded bound")

@@ -17,11 +17,12 @@ from pair_generators import random_compatible_pair
 from test_initquiver import WILD, WILD_ARROWS, WILD_WORD
 
 from qfold.convexorder import check_convexity, order_from_word
-from qfold.initquiver import build_initial_quiver
+from qfold.initquiver import build_initial_quiver, initial_pair, resolve_word
 from qfold.laurent import ONE, LaurentScalar, q_factorial
 from qfold.qcluster import (
     check_compatible,
     enumerate_exchange_graph,
+    initial_seed,
     mutate_pair,
     specialize_classical,
 )
@@ -39,7 +40,6 @@ from qfold.uqn import (
     shuffle_product,
 )
 from qfold.verify import (
-    build_seed,
     check_cluster_monomials,
     check_exchange_relation,
     check_initial_lambda,
@@ -69,8 +69,8 @@ def _instance(tag):
         if name == tag:
             datum, quiver = resolve_input(input_spec)
             context = OracleContext(datum)
-            from qfold.verify import _orbit_word, oracle_seed_data
-            oword = _orbit_word(datum, quiver, word)
+            from qfold.verify import oracle_seed_data
+            oword = resolve_word(datum, word, quiver)
             seed = oracle_seed_data(datum, word, quiver, context)
             return dict(input=input_spec, word=word, datum=datum,
                         quiver=quiver, oword=oword, minors=seed.variables,
@@ -280,7 +280,7 @@ def test_criterion_12_classical_limit():
     ok = False
     try:
         datum, quiver = resolve_input({"type": ["A", 2]})
-        seed, _ = build_seed(datum, (1, 2, 1), quiver)
+        seed = initial_seed(*initial_pair(datum, (1, 2, 1), quiver))
         graph = enumerate_exchange_graph(seed)
         assert graph.complete and len(graph.seeds) == 2
 

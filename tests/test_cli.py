@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from qfold import uqn
 from qfold.cli import main
 
 A3_QUIVER_CONFIG = {
@@ -149,6 +150,24 @@ def test_enumerate_command(tmp_path, capsys):
     assert len(data["cluster_variables"]) == 4
 
 
+def test_enumerate_stays_out_of_the_oracle(tmp_path, capsys, monkeypatch):
+    # The torus seed comes from the word alone: no oracle context is made
+    # and no shuffle element is built.
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerate entered the oracle")
+
+    monkeypatch.setattr(uqn.OracleContext, "__init__", refuse)
+    monkeypatch.setattr(uqn.ShuffleElement, "__post_init__", refuse)
+    path = _write(tmp_path, {"input": {"type": ["A", 3]},
+                             "word": [1, 2, 1, 3, 2, 1]})
+    code, out, _ = _run(capsys, ["enumerate", "--config", path])
+    assert code == 0
+    data = json.loads(out)
+    assert data["seeds"] == 14 and data["complete"] is True
+    assert len(data["edges"]) == 42
+    assert len(data["cluster_variables"]) == 12
+
+
 def test_verify_command(tmp_path, capsys):
     checks = [{"check": "initial_lambda", "input": {"type": ["A", 2]},
                "word": [1, 2, 1]},
@@ -219,13 +238,22 @@ def test_raw_cartan_datum_input(tmp_path, capsys):
     {"type": ["A", 2.5]},
 ])
 def test_float_in_config_is_input_error(tmp_path, capsys, spec):
-    # The schema admits these numbers; the datum rejects them instead of
-    # rounding them to A2.
+    # Neither is rounded to A2: the datum rejects the float symmetrizers,
+    # which the schema admits, and the schema rejects the float rank.
     path = _write(tmp_path, {"input": spec, "word": [1, 2, 1]})
     code, out, err = _run(capsys, ["seed-init", "--config", path])
     assert code == 2
     assert out == ""
     assert err
+
+
+def test_bool_rank_is_input_error(tmp_path, capsys):
+    # A JSON true is not the rank 1.
+    path = _write(tmp_path, {"input": {"type": ["A", True]}, "word": [1]})
+    code, out, err = _run(capsys, ["roots", "--config", path])
+    assert code == 2
+    assert out == ""
+    assert "schema violation" in err
 
 
 def test_outputs_are_deterministic(tmp_path, capsys):

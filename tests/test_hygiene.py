@@ -1,8 +1,9 @@
 """Source hygiene: no module imports a name it never uses, the exact
-arithmetic modules use no true division and no float literal, and every
-function the benchmark's traced run wraps still exists.
+arithmetic modules use no true division and no float literal, the cluster
+calculus keeps to its layer, and every function the benchmark's traced run
+wraps still exists.
 
-The first two are AST scans.  The import scan covers src/qfold, tests and
+The first three are AST scans.  The import scan covers src/qfold, tests and
 demos; the module-level imports of a package's __init__.py are its
 re-exports and are exempt.
 """
@@ -107,6 +108,53 @@ def test_scan_catches_true_division_and_floats(tmp_path):
     assert inexact_arithmetic(module) == [
         (2, "true division"), (3, "float literal 0.5"),
         (4, "true division"), (6, "float literal 1000.0")]
+
+
+# module -> the qfold modules it may not import: the cluster calculus stands
+# without the oracle, and the staircase layer without the harness above it.
+FORBIDDEN_IMPORTS = {
+    "qcluster": {"uqn", "initquiver", "verify", "cli"},
+    "initquiver": {"verify", "cli"},
+}
+
+
+def qfold_imports(path: Path):
+    """The qfold modules a module imports, relatively or by full name."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level and node.module:
+                found.add(node.module.split(".")[0])
+            elif node.level:
+                found.update(alias.name for alias in node.names)
+            elif node.module and node.module.startswith("qfold."):
+                found.add(node.module.split(".")[1])
+            elif node.module == "qfold":
+                found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[1] for alias in node.names
+                         if alias.name.startswith("qfold."))
+    return found
+
+
+def test_layers_import_nothing_from_above():
+    found = {}
+    for name, forbidden in FORBIDDEN_IMPORTS.items():
+        bad = qfold_imports(ROOT / "src" / "qfold" / (name + ".py")) & forbidden
+        if bad:
+            found[name] = sorted(bad)
+    assert not found, "layering broken: %s" % found
+
+
+def test_layer_scan_catches_an_import_from_above(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text("from .rootdata import Root\nfrom . import verify\n"
+                      "from .uqn.sub import x\nimport qfold.cli\n"
+                      "from qfold.initquiver import staircase\n"
+                      "from qfold import folding\n")
+    assert qfold_imports(module) == {"rootdata", "verify", "uqn", "cli",
+                                     "initquiver", "folding"}
 
 
 def perfbench_layers():

@@ -243,13 +243,14 @@ def test_non_integral_exponents_and_float_coefficients_raise():
     with pytest.raises(TypeError):
         LaurentScalar.from_rational(0.5)
     assert LaurentScalar([(Fraction(4, 2), 1)]) == LaurentScalar.q_power(2)
-    assert LaurentScalar([(True, 1)]) == LaurentScalar.q_power(1)
+    for terms in ([(True, 1)], [(0, True)]):
+        with pytest.raises(TypeError):
+            LaurentScalar(terms)
 
 
 def test_exact_int():
     assert exact_int(3) == 3 and type(exact_int(Fraction(6, 2))) is int
-    assert type(exact_int(True)) is int
     for bad, error in ((2.0, TypeError), (Fraction(1, 2), ValueError),
-                       ("2", TypeError)):
+                       ("2", TypeError), (True, TypeError)):
         with pytest.raises(error):
             exact_int(bad)

@@ -44,10 +44,12 @@ def test_datum_validation():
 
 
 def test_datum_and_roots_reject_non_integers():
-    # A float entry or symmetrizer is rejected, not rounded (to A2 here).
+    # A float or bool entry or symmetrizer is rejected, not rounded (to A2
+    # here).
     for cartan, d in ((((2, -1.5), (-1, 2)), (1, 1)),
                       (((2, -1), (-1, 2)), (1.7, 1.2)),
-                      (((2, -1), (-1, 2)), (1.0, 1.0))):
+                      (((2, -1), (-1, 2)), (1.0, 1.0)),
+                      (((2, -1), (-1, 2)), (True, True))):
         with pytest.raises(TypeError):
             CartanDatum((1, 2), cartan, d)
     with pytest.raises(ValueError):

@@ -5,12 +5,16 @@ from __future__ import annotations
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import realization_reference
 from minor_search_reference import reference_name
+from qfold import verify
+from qfold.initquiver import initial_pair
 from qfold.laurent import LaurentScalar
-from qfold.qcluster import mutate_seed, normalized_monomial
-from qfold.rootdata import bilinear_form, cartan_datum
+from qfold.qcluster import CompatiblePair, mutate_seed, normalized_monomial
+from qfold.rootdata import bilinear_form, cartan_datum, is_reduced
 from qfold.uqn import (
     MinorSpec,
     OracleContext,
@@ -32,6 +36,7 @@ from qfold.verify import (
     check_word_independence,
     load_catalog,
     normalized_shuffle_monomial,
+    oracle_seed_data,
     realized_exchange_graph,
     resolve_input,
     run_catalog,
@@ -63,6 +68,72 @@ def test_resolve_input_rejects_a_float_rank():
         resolve_input({"type": ["A", 2.5]})
     with pytest.raises(TypeError):
         resolve_input({"type": ["A", 2.0]})
+    with pytest.raises(TypeError):
+        resolve_input({"type": ["A", True]})
+
+
+def test_initial_lambda_names_a_perturbed_entry(monkeypatch):
+    # Negative control: Lambda off by 2 in one entry (parity kept) is caught
+    # against the oracle's q-commutation, and the report names the pair.
+    def perturbed(datum, word, quiver=None):
+        pair, degrees = initial_pair(datum, word, quiver)
+        lam = [list(row) for row in pair.lam]
+        lam[0][2] += 2
+        lam[2][0] -= 2
+        return CompatiblePair(pair.labels, pair.exchangeable, lam,
+                              pair.b), degrees
+
+    monkeypatch.setattr(verify, "initial_pair", perturbed)
+    r = check_initial_lambda({"type": ["A", 3]}, (1, 2, 1, 3, 2, 1))
+    assert not r.passed and r.status == "fail"
+    assert r.details.startswith("initial minors 1 and 3:")
+    assert r.witness["pair"] == [1, 3]
+    assert r.witness["lambda"] == r.witness["oracle"] + 2
+
+
+def _reduced_word(datum, letters):
+    """The letters that keep the word reduced, in order."""
+    word = ()
+    for letter in letters:
+        if is_reduced(datum, word + (letter,)):
+            word += (letter,)
+    return word
+
+
+# (input, longest word drawn) of the formula-versus-oracle property test.
+FORMULA_CASES = [
+    (A2_INPUT, 3),
+    ({"type": ["A", 3]}, 6),
+    ({"type": ["A", 4]}, 7),
+    (C2_QUIVER, 4),
+    ({"quiver": {"vertices": [1, 2, 3, 4, 5],
+                 "edges": [[1, 2], [3, 2], [3, 4], [5, 4]],
+                 "automorphism": {"1": 5, "2": 4, "3": 3, "4": 2, "5": 1}}},
+     5),
+    ({"quiver": {"vertices": [1, 2, 3, 4],
+                 "edges": [[1, 2], [3, 2], [4, 2]],
+                 "automorphism": {"1": 3, "2": 2, "3": 4, "4": 1}}}, 5),
+]
+
+
+@pytest.mark.parametrize("input_spec, length", FORMULA_CASES)
+@settings(max_examples=6, deadline=None, database=None)
+@given(data=st.data())
+def test_initial_pair_matches_the_oracle(input_spec, length, data):
+    # Differential: the word-only Lambda and degrees of initial_pair against
+    # the q-commutation exponents and weights of the oracle's minors, over
+    # A2-A4 and C2, B3, G2 folded from A3, A5, D4.
+    datum, quiver = resolve_input(input_spec)
+    letters = data.draw(st.lists(st.sampled_from(datum.indices),
+                                 min_size=2 * length, max_size=4 * length))
+    word = _reduced_word(datum, letters)[:length]
+    pair, degrees = initial_pair(datum, word, quiver)
+    minors = oracle_seed_data(datum, word, quiver).variables
+    assert degrees == {t: y.weight for t, y in minors.items()}
+    for a, s in enumerate(pair.labels):
+        for t in pair.labels[a + 1:]:
+            assert pair.lam_entry(s, t) \
+                == qcommute_exponent(minors[s], minors[t]), (word, s, t)
 
 
 def test_symmetrizable_without_quiver_rejected():

@@ -1,7 +1,9 @@
 """Staircase quivers and initial seeds realized by the oracle's minors.
 
-The staircase quiver of a reduced word carries the initial exchange matrix;
-for folded types the matrix is orbit-summed from the unfolded staircase.
+The staircase quiver of a reduced word draws its initial exchange matrix,
+which initial_pair computes from the word alone for any symmetrizable datum;
+for a folded type it equals the unfolded staircase summed over position
+orbits, as below.
 The commutation matrix Lambda comes from the degrees of the initial minors
 (verify's initial_lambda check q-commutes the minors to confirm it), and
 the two structures are compatible: Lambda B = -2E.

@@ -32,6 +32,7 @@ from .qcluster import (
     initial_seed,
     mutate_seed,
     seed_to_json,
+    torus_to_json,
 )
 from .rootdata import datum_to_json, inversion_roots, is_reduced
 from .uqn import shuffle_to_json
@@ -73,6 +74,7 @@ CONFIG_SCHEMA = {
     },
     "additionalProperties": False,
 }
+CONFIG_VALIDATOR = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
 
 
 class InputError(Exception):
@@ -87,10 +89,10 @@ def _load_config(path):
             config = json.load(handle)
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError("cannot read config: %s" % exc) from exc
-    try:
-        jsonschema.validate(config, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise InputError("config schema violation: %s" % exc.message) from exc
+    error = jsonschema.exceptions.best_match(
+        CONFIG_VALIDATOR.iter_errors(config))
+    if error is not None:
+        raise InputError("config schema violation: %s" % error.message)
     return config
 
 
@@ -162,8 +164,8 @@ def cmd_initquiver(config, args):
 
 def _from_word(config, build):
     """build(datum, word, quiver) on the config's input and word; its
-    ValueError (a symmetrizable datum without its quiver, a word that is
-    not reduced) is an input error."""
+    ValueError (a word that is not reduced, or a staircase asked of a
+    symmetrizable datum without its quiver) is an input error."""
     (datum, quiver), _ = _resolved(config)
     word = _word(config, datum, quiver)
     try:
@@ -218,10 +220,7 @@ def cmd_enumerate(config, args):
     _emit({"seeds": len(graph.seeds),
            "complete": graph.complete,
            "edges": [[s, str(k), t] for s, k, t in graph.edges],
-           "cluster_variables": [
-               {"terms": [{"exponents": list(e), "coeff": str(c)}
-                          for e, c in sorted(v.terms.items())]}
-               for v in variables]})
+           "cluster_variables": [torus_to_json(v) for v in variables]})
     return 0
 
 

@@ -2,11 +2,14 @@
 variable labels, the orbit-summed exchange matrix, and the initial
 compatible pair built from the word alone.
 
-Vertices sit at (t, i_t) for the letters of the word; the rightmost vertex
-of each row is frozen.  Horizontal arrows run right-to-left between row
-neighbours.  Between distinct rows i and j there are -i.j arrows from (a,i)
-to (b,j) when b is the last j-vertex that a "sees" before its own row
-repeats, in the zigzag sense made precise in _interrow_arrow below.
+Vertices sit at (t, i_t) for the letters of a word of length n.  Write t+
+for the next position of t's row, or n + 1 when t is the last one; t is
+frozen when t+ = n + 1.  Horizontal arrows run t+ -> t.  The rule pairs are
+the positions a < b in distinct rows with a < b < a+ <= b+, and each
+carries -d_i a_ij arrows from (a, i) to (b, j).  The same rule gives the
+initial exchange matrix of a reduced word for any symmetrizable datum
+(Berenstein-Fomin-Zelevinsky 2005, Geiss-Leclerc-Schroer 2011); on a
+folded datum it equals the unfolded staircase summed over position orbits.
 """
 
 from __future__ import annotations
@@ -42,23 +45,19 @@ class IceQuiver:
         return {(s, d): m for s, d, m in self.arrows}
 
 
-def _interrow_arrow(rows, i, j, a, b):
-    """The zigzag predicate: -i.j arrows from (a,i) to (b,j)?
-
-    Requires a < b with no row-i vertex between a and b, and no row-j
-    vertex c > b whose gap down to b is free of row-i vertices.  The first
-    clause does not appear in the prose rule but is forced by the worked
-    figure (without it every row would also shoot arrows at far-away
-    vertices, e.g. 4 -> 10 in the figure).
-    """
-    if a >= b:
-        return False
-    if any(a < e < b for e in rows[i]):
-        return False
-    for c in rows[j]:
-        if c > b and not any(b < d < c for d in rows[i]):
-            return False
-    return True
+def _staircase_rule(word):
+    """({t: t+}, rule pairs) of a word: t+ is the next position of t's row,
+    or n + 1; the rule pairs are the (a, b) with a < b < a+ <= b+, whose
+    rows differ because no position of a's row lies strictly inside
+    (a, a+)."""
+    n = len(word)
+    plus, after = {}, {}
+    for t in range(n, 0, -1):
+        plus[t] = after.get(word[t - 1], n + 1)
+        after[word[t - 1]] = t
+    pairs = [(a, b) for a in range(1, n + 1)
+             for b in range(a + 1, plus[a]) if plus[a] <= plus[b]]
+    return plus, pairs
 
 
 def build_initial_quiver(word, datum: CartanDatum) -> IceQuiver:
@@ -67,24 +66,15 @@ def build_initial_quiver(word, datum: CartanDatum) -> IceQuiver:
     if not is_reduced(datum, word):
         raise ValueError("word %r is not reduced" % (word,))
     m = len(word)
-    rows = {i: [t for t in range(1, m + 1) if word[t - 1] == i]
-            for i in datum.indices}
-    arrows = []
-    # Horizontal arrows point left between consecutive vertices of a row.
-    for i, ts in rows.items():
-        for prev, nxt in zip(ts, ts[1:]):
-            arrows.append((nxt, prev, 1))
+    plus, pairs = _staircase_rule(word)
+    arrows = [(plus[t], t, 1) for t in plus if plus[t] <= m]
     # Inter-row arrows carry multiplicity -i.j = -d_i a_ij.
-    for a in range(1, m + 1):
-        i = word[a - 1]
-        for b in range(1, m + 1):
-            j = word[b - 1]
-            if i == j:
-                continue
-            mult = -datum.d(i) * datum.a(i, j)
-            if mult and _interrow_arrow(rows, i, j, a, b):
-                arrows.append((a, b, mult))
-    frozen = frozenset(ts[-1] for ts in rows.values() if ts)
+    for a, b in pairs:
+        i, j = word[a - 1], word[b - 1]
+        mult = -datum.d(i) * datum.a(i, j)
+        if mult:
+            arrows.append((a, b, mult))
+    frozen = frozenset(t for t in plus if plus[t] > m)
     return IceQuiver(datum, word, tuple(sorted(arrows)), frozen)
 
 
@@ -165,37 +155,31 @@ def vertex_orbits_from_unfolding(j_word, quiver: QuiverWithAut):
 
     Each letter of the word over orbits expands to a block of positions;
     inside a block, the position holding vertex v maps to the position
-    holding a(v).  Returns (unfolded word, position orbit list).
+    holding a(v).  The automorphism cycles through the vertices of an
+    orbit, so each block is one position orbit.  Returns (unfolded word,
+    position orbit list, position permutation).
     """
     blocks = unfolded_blocks(j_word, quiver)
     unfolded = []
     perm = {}
     for orbit, positions in blocks:
-        members = list(orbit)  # ascending, matching unfold_word's convention
-        unfolded.extend(members)
-        spot = dict(zip(members, positions))
-        for v, pos in zip(members, positions):
+        unfolded.extend(orbit)  # ascending, matching unfold_word's convention
+        spot = dict(zip(orbit, positions))
+        for v, pos in spot.items():
             perm[pos] = spot[quiver.automorphism[v]]
-    orbits = []
-    seen = set()
-    for pos in sorted(perm):
-        if pos in seen:
-            continue
-        cycle = [pos]
-        seen.add(pos)
-        nxt = perm[pos]
-        while nxt not in seen:
-            cycle.append(nxt)
-            seen.add(nxt)
-            nxt = perm[nxt]
-        orbits.append(tuple(sorted(cycle)))
-    return tuple(unfolded), orbits, perm
+    return tuple(unfolded), [tuple(p) for _, p in blocks], perm
 
 
 def staircase(datum, word, quiver=None):
     """(staircase quiver, position orbits to sum it over) of a word; with a
-    quiver with automorphism the staircase is built on the unfolded word."""
+    quiver with automorphism the staircase is built on the unfolded word.
+    A symmetrizable datum has no quiver of its own, so it needs one."""
     if quiver is None:
+        if any(d != 1 for d in datum.symmetrizers):
+            raise ValueError(
+                "symmetrizable datum given without its "
+                "quiver-with-automorphism: the staircase quiver lives on the "
+                "unfolded word, so pass the quiver input instead")
         return build_initial_quiver(word, datum), None
     unfolded, orbits, _ = vertex_orbits_from_unfolding(word, quiver)
     return build_initial_quiver(unfolded, underlying_datum(quiver)), orbits
@@ -213,38 +197,45 @@ def resolve_word(datum, word, quiver=None):
 
 def initial_pair(datum, word, quiver=None):
     """(initial compatible pair over positions 1..n, {t: beta_t}) of a
-    reduced word, from the word alone.
+    reduced word, from the word alone; a quiver input only names the
+    letters as its orbits.
 
     beta_t = w_{i_t} - s_{i_1}...s_{i_t} w_{i_t} is the degree of Y_t.  For
     s < t, Lambda_st = (beta_s, beta_t) - 2 d_{i_t} [beta_s : alpha_{i_t}],
     where [beta : alpha] is the coefficient of alpha in beta (Geiss-Leclerc-
     Schroer 2013, Kimura 2012, in this package's conventions).  B is the
-    staircase matrix, orbit-summed when a quiver with automorphism is given.
+    staircase rule: b_{t+,t} = 1 = -b_{t,t+}, and b_ab = -a_{i_a i_b},
+    b_ba = a_{i_b i_a} for each rule pair (a, b); the positions t with
+    t+ <= n are exchangeable.  On a folded datum this is the unfolded
+    staircase summed over position orbits.
     """
-    if quiver is None and any(d != 1 for d in datum.symmetrizers):
-        raise ValueError(
-            "symmetrizable datum given without its quiver-with-automorphism: "
-            "the exchange matrix must be orbit-summed from the unfolded "
-            "staircase, so pass the quiver input instead")
     word = resolve_word(datum, word, quiver)
     if not is_reduced(datum, word):
         raise ValueError("word %r is not reduced" % (word,))
-    labels = tuple(range(1, len(word) + 1))
+    n = len(word)
+    labels = tuple(range(1, n + 1))
     betas = []
     for t, i in enumerate(word, 1):
         omega = datum.fundamental_weight(i)
         betas.append((omega - apply_word(word[:t], omega)).to_root())
-    lam = [[0] * len(word) for _ in word]
+    lam = [[0] * n for _ in word]
     for t, i in enumerate(word):
         for s in range(t):
             value = bilinear_form(betas[s], betas[t]) \
                 - 2 * datum.d(i) * betas[s].coords[datum.pos(i)]
             lam[s][t] = value
             lam[t][s] = -value
-    exchange = fold_exchange_matrix(*staircase(datum, word, quiver))
-    ex_labels = tuple(exchange.labels.index(o) + 1
-                      for o in exchange.exchangeable)
-    pair = CompatiblePair(labels, ex_labels, lam, exchange.matrix)
+    plus, pairs = _staircase_rule(word)
+    b = {}
+    for t, u in plus.items():
+        if u <= n:
+            b[u, t], b[t, u] = 1, -1
+    for s, t in pairs:
+        i, j = word[s - 1], word[t - 1]
+        b[s, t], b[t, s] = -datum.a(i, j), datum.a(j, i)
+    ex_labels = tuple(t for t in labels if plus[t] <= n)
+    matrix = [[b.get((s, t), 0) for t in ex_labels] for s in labels]
+    pair = CompatiblePair(labels, ex_labels, lam, matrix)
     return pair, dict(zip(labels, betas))
 
 

@@ -565,6 +565,11 @@ def enumerate_exchange_graph(seed: QuantumSeed, bound: int = 1000) -> ExchangeGr
     return ExchangeGraph(seeds, edges, complete)
 
 
+def torus_to_json(x: TorusElement) -> dict:
+    return {"terms": [{"exponents": list(k), "coeff": str(v)}
+                      for k, v in sorted(x.terms.items())]}
+
+
 def seed_to_json(seed: QuantumSeed) -> dict:
     labels = seed.pair.labels
     return {
@@ -575,8 +580,6 @@ def seed_to_json(seed: QuantumSeed) -> dict:
         "b": [list(r) for r in seed.pair.b],
         "variables": [{"label": list(s) if isinstance(s, tuple) else s,
                        "degree": list(seed.degrees[s].coords),
-                       "terms": [{"exponents": list(k), "coeff": str(v)}
-                                 for k, v in sorted(
-                                     seed.variables[s].terms.items())]}
+                       **torus_to_json(seed.variables[s])}
                       for s in labels],
     }

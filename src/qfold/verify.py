@@ -120,7 +120,7 @@ def oracle_seed_data(datum, word, quiver=None, context=None) -> QuantumSeed:
 
 def check_initial_lambda(input_spec, word) -> VerificationReport:
     """The initial minors q-commute exactly as initial_pair's Lambda says,
-    and that Lambda is compatible with the staircase/orbit-summed B."""
+    and that Lambda is compatible with the B of the same word."""
     instance = {"check": "initial_lambda", "input": input_spec,
                 "word": list(word)}
     datum, quiver = resolve_input(input_spec)

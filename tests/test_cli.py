@@ -114,6 +114,18 @@ def test_initquiver_folded_exchange(tmp_path, capsys):
     assert data["exchange"]["matrix"] == [[0, 1], [-2, 0], [1, -1], [0, 1]]
 
 
+def test_initquiver_refuses_a_symmetrizable_type(tmp_path, capsys):
+    # A C2 staircase quiver lives on the unfolded word, which a type input
+    # does not name: exit 2 rather than print a skew-symmetric matrix.
+    path = _write(tmp_path, {"input": {"type": ["C", 2]},
+                             "word": [1, 2, 1, 2]})
+    code, out, err = _run(capsys, ["initquiver", "--config", path])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error: symmetrizable datum given without "
+                          "its quiver-with-automorphism")
+
+
 def test_seed_init_and_mutate_trace(tmp_path, capsys):
     base = {"input": {"type": ["A", 2]}, "word": [1, 2, 1]}
     path = _write(tmp_path, base)

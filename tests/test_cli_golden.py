@@ -82,5 +82,14 @@ def test_cli_output_matches_corpus(case, tmp_path):
     assert err == "".join(expected["stderr"])
 
 
+def test_c2_type_enumerates_like_its_folded_quiver(tmp_path):
+    # The C2 type input and the A3 quiver it folds from give one exchange
+    # graph: enumerate's output names positions, not letters.
+    config = {"input": {"type": ["C", 2]}, "word": [1, 2, 1, 2]}
+    code, out, err = run_case(["enumerate"], config, tmp_path)
+    assert (code, err) == (0, "")
+    assert out == "".join(GOLDEN["C2/enumerate"]["stdout"])
+
+
 if __name__ == "__main__":
     _record()

@@ -1,7 +1,7 @@
 """Source hygiene: no module imports a name it never uses, the exact
 arithmetic modules use no true division and no float literal, the cluster
-calculus keeps to its layer, and every function the benchmark's traced run
-wraps still exists.
+calculus keeps to its layer, every function the benchmark's traced run
+wraps still exists, and the CLI's config schema is a valid schema.
 
 The first three are AST scans.  The import scan covers src/qfold, tests and
 demos; the module-level imports of a package's __init__.py are its
@@ -13,6 +13,10 @@ from __future__ import annotations
 import ast
 import importlib
 from pathlib import Path
+
+from jsonschema import Draft202012Validator
+
+from qfold.cli import CONFIG_SCHEMA
 
 ROOT = Path(__file__).resolve().parent.parent
 SCANNED = ("src/qfold", "tests", "demos")
@@ -200,3 +204,9 @@ def test_layer_check_catches_missing_functions():
               ("qfold.uqn", "NoSuchClass.method"),
               ("qfold.uqn", "ShuffleElement.__format__")]
     assert unpatchable(layers) == layers[1:]
+
+
+def test_config_schema_is_valid():
+    # The CLI builds its validator once and never checks the schema itself
+    # against the 2020-12 metaschema; this does.
+    Draft202012Validator.check_schema(CONFIG_SCHEMA)

@@ -5,7 +5,10 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import staircase_reference
 from qfold.folding import QuiverWithAut, fold, underlying_datum
 from qfold.initquiver import (
     OrbitCompatibilityError,
@@ -14,10 +17,12 @@ from qfold.initquiver import (
     exchange_to_json,
     fold_exchange_matrix,
     initial_cluster_variables,
+    initial_pair,
     quiver_to_dot,
+    staircase,
     vertex_orbits_from_unfolding,
 )
-from qfold.rootdata import CartanDatum, cartan_datum, is_reduced
+from qfold.rootdata import CartanDatum, apply_word, cartan_datum, is_reduced
 
 A2 = cartan_datum("A", 2)
 
@@ -188,3 +193,125 @@ def test_exchange_json():
     data = exchange_to_json(fold_exchange_matrix(ice))
     assert data["matrix"] == [[0], [-1], [1]]
     assert data["sizes"] == [1, 1, 1]
+
+
+def _extends_reduced(datum, word, i):
+    """word + (i,) is reduced, for a reduced word: w(alpha_i) > 0."""
+    return apply_word(word, datum.simple_root(i)).is_positive()
+
+
+def _reduced_words(datum, longest):
+    """Every reduced word of length 1..longest."""
+    layer = [()]
+    for _ in range(longest):
+        layer = [w + (i,) for w in layer for i in datum.indices
+                 if _extends_reduced(datum, w, i)]
+        yield from layer
+
+
+def _reduced_prefix(datum, letters):
+    """The letters that keep the word reduced, in order."""
+    word = ()
+    for i in letters:
+        if _extends_reduced(datum, word, i):
+            word += (i,)
+    return word
+
+
+# (datum, longest word compared): every reduced word of A2, A3, B3, C3 and
+# G2, and the short ones of A4, D4 and the rank-3 datum of infinite type.
+RULE_CASES = [
+    (A2, 3), (cartan_datum("A", 3), 6), (cartan_datum("A", 4), 6),
+    (cartan_datum("B", 3), 9), (cartan_datum("C", 3), 9),
+    (cartan_datum("D", 4), 7), (cartan_datum("G", 2), 6), (WILD, 6),
+]
+
+
+@pytest.mark.parametrize("datum, longest", RULE_CASES, ids=[
+    "A2", "A3", "A4", "B3", "C3", "D4", "G2", "WILD"])
+def test_rule_matches_the_zigzag_scan(datum, longest):
+    # Differential: the closed rule a < b < a+ <= b+ against the per-row
+    # zigzag scan it replaced, arrows and frozen sets, word by word.
+    count = 0
+    for word in _reduced_words(datum, longest):
+        ice = build_initial_quiver(word, datum)
+        ref = staircase_reference.build_initial_quiver(word, datum)
+        assert (ice.arrows, ice.frozen) == (ref.arrows, ref.frozen), word
+        count += 1
+    assert count > longest
+
+
+def _path_flip(n):
+    """A_{2n-1}, oriented towards its middle vertex n, with its flip."""
+    edges = [(k, k + 1) if k < n else (k + 1, k) for k in range(1, 2 * n - 1)]
+    return QuiverWithAut(tuple(range(1, 2 * n)), tuple(edges),
+                         {k: 2 * n - k for k in range(1, 2 * n)})
+
+
+def _tip_swap(n):
+    """D_{n+1} (n >= 3): a path 1..n-1 with tips n, n+1 at n-1, swapped."""
+    edges = [(k, k + 1) for k in range(1, n - 1)]
+    edges += [(n - 1, n), (n - 1, n + 1)]
+    aut = {k: k for k in range(1, n)}
+    aut.update({n: n + 1, n + 1: n})
+    return QuiverWithAut(tuple(range(1, n + 2)), tuple(edges), aut)
+
+
+D4_TRIALITY = QuiverWithAut((1, 2, 3, 4), ((1, 2), (3, 2), (4, 2)),
+                            {1: 3, 2: 2, 3: 4, 4: 1})
+
+# Quivers with automorphism whose folded initial B is cross-checked against
+# the orbit-summed unfolded staircase: C2/A3, B3/A5, G2/D4, C3/D4 and an
+# identity automorphism.
+FOLDINGS = {
+    "C2/A3": _path_flip(2),
+    "B3/A5": _path_flip(3),
+    "G2/D4": D4_TRIALITY,
+    "C3/D4": _tip_swap(3),
+    "A3/identity": QuiverWithAut((1, 2, 3), ((1, 2), (2, 3))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FOLDINGS))
+@settings(max_examples=20, deadline=None, database=None)
+@given(data=st.data())
+def test_initial_b_is_the_orbit_summed_staircase(name, data):
+    quiver = FOLDINGS[name]
+    datum = fold(quiver).datum
+    word = _reduced_prefix(datum, data.draw(st.lists(
+        st.sampled_from(datum.indices), min_size=1, max_size=12)))
+    pair, _ = initial_pair(datum, word, quiver)
+    exchange = fold_exchange_matrix(*staircase(datum, word, quiver))
+    assert pair.exchangeable == tuple(exchange.labels.index(o) + 1
+                                      for o in exchange.exchangeable)
+    assert pair.b == exchange.matrix, word
+
+
+# (type, its standard folded quiver): the flip of A_{2n-1} folds to B_n, the
+# tip swap of D_{n+1} to C_n (D3 is A3, so C2 = B2 here), the triality of D4
+# to G2; in each the i-th orbit is the index i.
+STANDARD_FOLDINGS = [
+    (("B", 2), _path_flip(2)), (("B", 3), _path_flip(3)),
+    (("B", 4), _path_flip(4)), (("C", 2), _path_flip(2)),
+    (("C", 3), _tip_swap(3)), (("C", 4), _tip_swap(4)),
+    (("G", 2), D4_TRIALITY),
+]
+
+
+@pytest.mark.parametrize("family_rank, quiver", STANDARD_FOLDINGS,
+                         ids=["%s%d" % fr for fr, _ in STANDARD_FOLDINGS])
+@settings(max_examples=15, deadline=None, database=None)
+@given(data=st.data())
+def test_type_input_matches_its_folded_quiver(family_rank, quiver, data):
+    datum = cartan_datum(*family_rank)
+    folded = fold(quiver)
+    assert (folded.datum.cartan, folded.datum.symmetrizers) \
+        == (datum.cartan, datum.symmetrizers)
+    word = _reduced_prefix(datum, data.draw(st.lists(
+        st.sampled_from(datum.indices), min_size=1, max_size=20)))
+    pair, degrees = initial_pair(datum, word)
+    orbits = tuple(folded.orbits[i - 1] for i in word)
+    folded_pair, folded_degrees = initial_pair(folded.datum, orbits, quiver)
+    assert folded_pair == pair, word
+    assert {t: b.coords for t, b in folded_degrees.items()} \
+        == {t: b.coords for t, b in degrees.items()}

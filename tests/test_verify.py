@@ -10,11 +10,12 @@ from hypothesis import strategies as st
 
 import realization_reference
 from minor_search_reference import reference_name
+from test_initquiver import _reduced_prefix
 from qfold import verify
 from qfold.initquiver import initial_pair
 from qfold.laurent import LaurentScalar
 from qfold.qcluster import CompatiblePair, mutate_seed, normalized_monomial
-from qfold.rootdata import bilinear_form, cartan_datum, is_reduced
+from qfold.rootdata import bilinear_form, cartan_datum
 from qfold.uqn import (
     MinorSpec,
     OracleContext,
@@ -91,15 +92,6 @@ def test_initial_lambda_names_a_perturbed_entry(monkeypatch):
     assert r.witness["lambda"] == r.witness["oracle"] + 2
 
 
-def _reduced_word(datum, letters):
-    """The letters that keep the word reduced, in order."""
-    word = ()
-    for letter in letters:
-        if is_reduced(datum, word + (letter,)):
-            word += (letter,)
-    return word
-
-
 # (input, longest word drawn) of the formula-versus-oracle property test.
 FORMULA_CASES = [
     (A2_INPUT, 3),
@@ -113,6 +105,8 @@ FORMULA_CASES = [
     ({"quiver": {"vertices": [1, 2, 3, 4],
                  "edges": [[1, 2], [3, 2], [4, 2]],
                  "automorphism": {"1": 3, "2": 2, "3": 4, "4": 1}}}, 5),
+    ({"type": ["C", 2]}, 4),
+    ({"type": ["G", 2]}, 5),
 ]
 
 
@@ -122,11 +116,11 @@ FORMULA_CASES = [
 def test_initial_pair_matches_the_oracle(input_spec, length, data):
     # Differential: the word-only Lambda and degrees of initial_pair against
     # the q-commutation exponents and weights of the oracle's minors, over
-    # A2-A4 and C2, B3, G2 folded from A3, A5, D4.
+    # A2-A4, C2, B3, G2 folded from A3, A5, D4, and the C2 and G2 types.
     datum, quiver = resolve_input(input_spec)
     letters = data.draw(st.lists(st.sampled_from(datum.indices),
                                  min_size=2 * length, max_size=4 * length))
-    word = _reduced_word(datum, letters)[:length]
+    word = _reduced_prefix(datum, letters)[:length]
     pair, degrees = initial_pair(datum, word, quiver)
     minors = oracle_seed_data(datum, word, quiver).variables
     assert degrees == {t: y.weight for t, y in minors.items()}
@@ -136,9 +130,13 @@ def test_initial_pair_matches_the_oracle(input_spec, length, data):
                 == qcommute_exponent(minors[s], minors[t]), (word, s, t)
 
 
-def test_symmetrizable_without_quiver_rejected():
-    with pytest.raises(ValueError):
-        check_initial_lambda({"type": ["C", 2]}, (1, 2, 1, 2))
+def test_initial_lambda_on_symmetrizable_type_inputs():
+    # A B, C or G type input needs no quiver: B comes from the word.
+    for family_rank, word in [(["C", 2], (1, 2, 1, 2)),
+                              (["B", 3], (3, 2, 3, 1, 2)),
+                              (["G", 2], (1, 2, 1, 2, 1, 2))]:
+        r = check_initial_lambda({"type": family_rank}, word)
+        assert r.passed and r.status == "pass", (family_rank, r.details)
 
 
 def test_exchange_relation_a2():

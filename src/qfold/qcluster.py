@@ -6,13 +6,18 @@ set S together with an exchange matrix B (rows S, columns the exchangeable
 vertices) with Lambda B = -2E for a diagonal E positive exactly on the
 exchangeable diagonal.  Cluster variables live in the based quantum torus
 of the *initial* Lambda throughout; mutation divides inside that torus, so
-the Laurent phenomenon is exercised on every step.
+the Laurent phenomenon is exercised once per new cluster variable.  Seeds
+also carry their tropical data, extended g-vectors and c-vectors, and the
+seeds of one exchange graph share one table of variables keyed by
+g-vector: a variable is computed by the exchange step only the first time
+its g-vector appears.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 
 from .laurent import (
     ONE,
@@ -23,7 +28,7 @@ from .laurent import (
     qpower_ratio,
     scale_terms,
 )
-from .rootdata import Root, bilinear_form
+from .rootdata import Root, bilinear_form, gram_matrix
 
 
 class CompatibilityError(ValueError):
@@ -55,9 +60,9 @@ class CompatiblePair:
             raise ValueError("B shape does not match labels/exchangeables")
         if any(x not in self.labels for x in self.exchangeable):
             raise ValueError("exchangeable labels outside S")
-        for r in range(m):
-            for c in range(m):
-                if self.lam[r][c] != -self.lam[c][r]:
+        for r, row in enumerate(self.lam):
+            for c in range(r, m):
+                if row[c] != -self.lam[c][r]:
                     raise ValueError("Lambda is not skew-symmetric")
 
     def pos(self, label):
@@ -78,22 +83,21 @@ def check_compatible(pair: CompatiblePair):
 
     Raises CompatibilityError naming the first failing entry.
     """
-    m = len(pair.labels)
+    columns = tuple(zip(*pair.b))
     e = {}
-    for r in range(m):
-        for c, t in enumerate(pair.exchangeable):
-            value = sum(pair.lam[r][i] * pair.b[i][c] for i in range(m))
-            if pair.labels[r] == t:
+    for s, row in zip(pair.labels, pair.lam):
+        for t, column in zip(pair.exchangeable, columns):
+            value = sum(map(mul, row, column))
+            if s == t:
                 if value >= 0 or value % 2:
                     raise CompatibilityError(
                         "diagonal entry for %r is %d, expected negative even"
-                        % (t, value), entry=(pair.labels[r], t), value=value)
+                        % (t, value), entry=(s, t), value=value)
                 e[t] = -value // 2
             elif value != 0:
                 raise CompatibilityError(
                     "off-diagonal entry (%r, %r) is %d, expected 0"
-                    % (pair.labels[r], t, value),
-                    entry=(pair.labels[r], t), value=value)
+                    % (s, t, value), entry=(s, t), value=value)
     return e
 
 
@@ -107,34 +111,23 @@ def mutate_pair(pair: CompatiblePair, k) -> CompatiblePair:
     """
     if k not in pair.exchangeable:
         raise KeyError("direction %r is not exchangeable" % (k,))
-    m = len(pair.labels)
     kp = pair.pos(k)
     kc = pair.ex_pos(k)
+    column = [row[kc] for row in pair.b]
+    positive = [(bik, row) for bik, row in zip(column, pair.lam) if bik > 0]
+    new_row = [sum((bik * row[t] for bik, row in positive), -value)
+               for t, value in enumerate(pair.lam[kp])]
+    new_row[kp] = 0
     lam = [list(row) for row in pair.lam]
-    new_row = []
-    for t in range(m):
-        if t == kp:
-            new_row.append(0)
-            continue
-        value = -pair.lam[kp][t]
-        for i in range(m):
-            bik = pair.b[i][kc]
-            if bik > 0:
-                value += bik * pair.lam[i][t]
-        new_row.append(value)
-    for t in range(m):
-        lam[kp][t] = new_row[t]
-        lam[t][kp] = -new_row[t]
-    b = [list(row) for row in pair.b]
-    for i in range(m):
-        for c in range(len(pair.exchangeable)):
-            j = pair.pos(pair.exchangeable[c])
-            if i == kp or j == kp:
-                b[i][c] = -pair.b[i][c]
-            else:
-                bik = pair.b[i][kc]
-                bkj = pair.b[kp][c]
-                b[i][c] = pair.b[i][c] + (abs(bik) * bkj + bik * abs(bkj)) // 2
+    lam[kp] = new_row
+    for row, value in zip(lam, new_row):
+        row[kp] = -value
+    bk = pair.b[kp]
+    b = []
+    for i, (row, bik) in enumerate(zip(pair.b, column)):
+        b.append([-bij if i == kp or c == kc else
+                  bij + (abs(bik) * bkj + bik * abs(bkj)) // 2
+                  for c, (bij, bkj) in enumerate(zip(row, bk))])
     return CompatiblePair(pair.labels, pair.exchangeable, lam, b)
 
 
@@ -346,20 +339,43 @@ class QuantumSeed:
     one algebra: the initial quantum torus, or the shuffle algebra through
     quantum minors.  The variables are added, scaled, multiplied, barred
     (bar()) and left-divided (left_divide(dividend)) by their own methods;
-    unit is the unit element of their algebra."""
+    unit is the unit element of their algebra.
+
+    The tropical data place the seed in the exchange graph of an initial
+    seed: g maps each label to its variable's extended g-vector (over the
+    initial labels), c each exchangeable label to its c-vector (over the
+    initial exchangeable labels), and table maps a g-vector to the (degree,
+    variable) computed for it, shared by all seeds of one graph.  A seed
+    built without them is an initial seed: identity g- and c-vectors, and
+    a table of its own variables.  They take no part in ==."""
 
     pair: CompatiblePair
     degrees: dict        # label -> Root (the weight of the cluster variable)
     variables: dict      # label -> TorusElement or ShuffleElement
     unit: object
+    g: dict = field(default=None, compare=False)
+    c: dict = field(default=None, compare=False)
+    table: dict = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        for s in self.pair.labels:
-            for t in self.pair.labels:
-                ds, dt = self.degrees[s], self.degrees[t]
-                if (self.pair.lam_entry(s, t) - bilinear_form(ds, dt)) % 2:
+        labels = self.pair.labels
+        if self.g is None:
+            g = {s: _unit_vector(len(labels), r) for r, s in enumerate(labels)}
+            ex = self.pair.exchangeable
+            object.__setattr__(self, "g", g)
+            object.__setattr__(self, "c", {s: _unit_vector(len(ex), r)
+                                           for r, s in enumerate(ex)})
+            object.__setattr__(self, "table", {
+                g[s]: (self.degrees[s], self.variables[s]) for s in labels})
+        # lambda is skew and the form symmetric, so the upper triangle
+        # decides, and in the same order finds the same first mismatch.
+        gram = gram_matrix(self.degrees[s] for s in labels)
+        for r, (s, row, forms) in enumerate(zip(labels, self.pair.lam, gram)):
+            for c in range(r, len(labels)):
+                if (row[c] - forms[c]) % 2:
                     raise ParityError(
-                        "lambda(%r,%r) and (d,d) parity mismatch" % (s, t))
+                        "lambda(%r,%r) and (d,d) parity mismatch"
+                        % (s, labels[c]))
 
     def lambda_from_variables(self):
         """Recompute the q-commutation matrix of the stored variables."""
@@ -377,11 +393,16 @@ class QuantumSeed:
         return tuple(tuple(r) for r in out)
 
 
+def _unit_vector(size, r):
+    return tuple(int(i == r) for i in range(size))
+
+
 def initial_seed(pair: CompatiblePair, degrees) -> QuantumSeed:
-    """The seed whose variables are the torus generators themselves."""
-    pairing = tuple(tuple(bilinear_form(degrees[s], degrees[t])
-                          for t in pair.labels) for s in pair.labels)
-    torus = QuantumTorus(pair.labels, pair.lam, pairing)
+    """The seed whose variables are the torus generators themselves, with
+    identity g- and c-vectors."""
+    pairing = gram_matrix(degrees[s] for s in pair.labels)
+    torus = QuantumTorus(pair.labels, pair.lam,
+                         tuple(tuple(row) for row in pairing))
     variables = {s: torus.generator(s) for s in pair.labels}
     return QuantumSeed(pair, dict(degrees), variables, torus.unit())
 
@@ -439,7 +460,8 @@ def exchange_monomials(pair: CompatiblePair, k):
     e = check_compatible(pair)
     if k not in e:
         raise KeyError("direction %r is frozen" % (k,))
-    column = {t: pair.b_entry(t, k) for t in pair.labels}
+    kc = pair.ex_pos(k)
+    column = {t: row[kc] for t, row in zip(pair.labels, pair.b)}
     return ({t: max(b, 0) for t, b in column.items()},
             {t: max(-b, 0) for t, b in column.items()}, e[k])
 
@@ -475,16 +497,70 @@ def mutated_variable(seed: QuantumSeed, k):
     return new_var
 
 
+def tropical_mutation(seed: QuantumSeed, k):
+    """The g- and c-vectors of the seed mutated in direction k
+    (Nakanishi-Zelevinsky, "On tropical dualities in cluster algebras").
+
+    With eps the sign of c_k, g'_k = -g_k + sum_i [-eps b_ik]_+ g_i and
+    c'_j = c_j + [eps b_kj]_+ c_k for j != k, c'_k = -c_k; the other
+    g-vectors stay.  The general rule also subtracts
+    sum_j [-eps c_jk]_+ b0_j (b0 the initial B); that term vanishes because
+    c_k is sign-coherent (Gross-Hacking-Keel-Kontsevich), which is checked.
+    """
+    pair = seed.pair
+    ck = seed.c[k]
+    if min(ck) < 0 < max(ck) or not any(ck):
+        raise CompatibilityError("c-vector of %r is not sign-coherent" % (k,))
+    eps = 1 if max(ck) > 0 else -1
+    kc = pair.ex_pos(k)
+    gk = [-x for x in seed.g[k]]
+    for s, row in zip(pair.labels, pair.b):
+        weight = max(-eps * row[kc], 0)
+        if weight:
+            gk = [x + weight * y for x, y in zip(gk, seed.g[s])]
+    g = dict(seed.g)
+    g[k] = tuple(gk)
+    c = dict(seed.c)
+    c[k] = tuple(-x for x in ck)
+    for j, bkj in zip(pair.exchangeable, pair.b[pair.pos(k)]):
+        weight = max(eps * bkj, 0)
+        if weight and j != k:
+            c[j] = tuple(x + weight * y for x, y in zip(seed.c[j], ck))
+    return g, c
+
+
 def mutate_seed(seed: QuantumSeed, k) -> QuantumSeed:
-    """Quantum seed mutation: the exchange step of mutated_variable, the
-    degree deg(Y^{a+}) - deg(Y_k) of the new variable, and mutate_pair."""
-    variables = dict(seed.variables)
-    variables[k] = mutated_variable(seed, k)
+    """Quantum seed mutation: check_compatible (through
+    exchange_monomials; a frozen direction is a KeyError), mutate_pair,
+    the degree deg(Y^{a+}) - deg(Y_k) of the new variable, the tropical
+    step of tropical_mutation, and the new variable.  That comes from the
+    seed's table when its g-vector is there (its stored degree must be the
+    new degree, or CompatibilityError), and otherwise from the exchange
+    step of mutated_variable, which is then stored."""
+    a_plus, _, _ = exchange_monomials(seed.pair, k)
+    pair = mutate_pair(seed.pair, k)
     degrees = dict(seed.degrees)
-    degrees[k] = sum((max(seed.pair.b_entry(t, k), 0) * seed.degrees[t]
-                      for t in seed.pair.labels), -seed.degrees[k])
-    return QuantumSeed(mutate_pair(seed.pair, k), degrees, variables,
-                       seed.unit)
+    degrees[k] = sum((a * seed.degrees[t] for t, a in a_plus.items() if a),
+                     -seed.degrees[k])
+    g, c = tropical_mutation(seed, k)
+    variables = dict(seed.variables)
+    variables[k] = stored_variable(seed.table, g[k], degrees[k],
+                                   lambda: mutated_variable(seed, k))
+    return QuantumSeed(pair, degrees, variables, seed.unit, g, c, seed.table)
+
+
+def stored_variable(table: dict, g, degree, compute):
+    """The variable of g-vector g in the table, or compute() stored there
+    with its degree.  A stored degree other than `degree` raises
+    CompatibilityError."""
+    entry = table.get(g)
+    if entry is None:
+        entry = table[g] = (degree, compute())
+    elif entry[0] != degree:
+        raise CompatibilityError(
+            "variable of g-vector %r has degree %r, expected %r"
+            % (g, entry[0], degree))
+    return entry[1]
 
 
 def specialize_classical(x: TorusElement) -> dict:
@@ -511,18 +587,21 @@ class ExchangeGraph:
     complete: bool
 
     def cluster_variables(self):
-        """All distinct cluster variables seen across seeds (as elements)."""
-        seen = {}
+        """All distinct cluster variables of the seeds (as elements), one per
+        g-vector, sorted by their canonical serialization."""
+        by_g = {}
         for seed in self.seeds:
             for s in seed.pair.labels:
-                var = seed.variables[s]
-                seen[var.canonical_key()] = var
+                by_g.setdefault(seed.g[s], seed.variables[s])
+        seen = {var.canonical_key(): var for var in by_g.values()}
         return [seen[k] for k in sorted(seen)]
 
 
 def seed_canonical_key(seed: QuantumSeed):
     """Order-insensitive canonical form: exchangeable variables sorted by
-    their canonical serialization, matrices permuted accordingly."""
+    their canonical serialization, matrices permuted accordingly.  It tells
+    seeds apart by their variables, for the tests and the benchmark's
+    traced run; enumerate_exchange_graph keys seeds by g-vectors."""
     labels = seed.pair.labels
     ex = seed.pair.exchangeable
     keyed = sorted(ex, key=lambda s: seed.variables[s].canonical_key())
@@ -537,13 +616,15 @@ def seed_canonical_key(seed: QuantumSeed):
 
 
 def enumerate_exchange_graph(seed: QuantumSeed, bound: int = 1000) -> ExchangeGraph:
-    """BFS over all mutation sequences with canonical-form deduplication.
+    """BFS over all mutation sequences, one mutate_seed per edge.
 
-    Stops when closed, or flags the graph incomplete once `bound` seeds
-    have been expanded.
+    Seeds are keyed by the sorted g-vectors of their exchangeable
+    variables, so each cluster is stored once.  Once `bound` seeds are
+    stored, no new seed is stored: an edge to a seed that is not stored
+    is dropped and the graph is flagged incomplete.
     """
     seeds = [seed]
-    index = {seed_canonical_key(seed): 0}
+    index = {_cluster_key(seed): 0}
     edges = []
     frontier = [0]
     complete = True
@@ -552,7 +633,7 @@ def enumerate_exchange_graph(seed: QuantumSeed, bound: int = 1000) -> ExchangeGr
         for src in frontier:
             for k in seed.pair.exchangeable:
                 mutated = mutate_seed(seeds[src], k)
-                key = seed_canonical_key(mutated)
+                key = _cluster_key(mutated)
                 if key not in index:
                     if len(seeds) >= bound:
                         complete = False
@@ -563,6 +644,10 @@ def enumerate_exchange_graph(seed: QuantumSeed, bound: int = 1000) -> ExchangeGr
                 edges.append((src, k, index[key]))
         frontier = new_frontier
     return ExchangeGraph(seeds, edges, complete)
+
+
+def _cluster_key(seed: QuantumSeed):
+    return tuple(sorted(seed.g[s] for s in seed.pair.exchangeable))
 
 
 def torus_to_json(x: TorusElement) -> dict:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .laurent import exact_int
 
@@ -307,6 +308,23 @@ def bilinear_form(u, v):
         raise ValueError("weight outside the rational root span")
     total = sum(coords[c] * v.coords[c] * datum.symmetrizers[c] for c in range(n))
     return int(total) if total.denominator == 1 else total
+
+
+def gram_matrix(roots) -> list:
+    """[[bilinear_form(u, v) for v in roots] for u in roots] for Roots over
+    one Cartan datum: each v is sent once to its pairings (alpha_i, v) =
+    d_i sum_j a_ij v_j, and then every entry is a coordinate dot product."""
+    roots = list(roots)
+    if not roots:
+        return []
+    datum = roots[0].datum
+    if any(type(v) is not Root or v.datum != datum for v in roots):
+        raise TypeError("gram_matrix takes Roots over one Cartan datum")
+    images = [tuple(d * sum(map(mul, row, v.coords))
+                    for d, row in zip(datum.symmetrizers, datum.cartan))
+              for v in roots]
+    return [[sum(map(mul, u.coords, image)) for image in images]
+            for u in roots]
 
 
 def extremal_exponents(lam: Weight, word):

@@ -16,6 +16,7 @@ from qfold.rootdata import (
     datum_to_json,
     dominance_leq,
     extremal_exponents,
+    gram_matrix,
     inversion_roots,
     is_finite_type,
     is_reduced,
@@ -129,6 +130,21 @@ def test_bilinear_form_weyl_invariance_random():
             v = rng.choice(roots + weights)
             assert bilinear_form(apply_word(word, u), apply_word(word, v)) \
                 == bilinear_form(u, v)
+
+
+def test_gram_matrix_is_the_bilinear_form():
+    rng = random.Random(5)
+    b3 = cartan_datum("B", 3)
+    for datum in (A2, A3, b3, C2, G2):
+        roots = [datum.root([rng.randint(-3, 3) for _ in datum.indices])
+                 for _ in range(8)]
+        assert gram_matrix(roots) == [[bilinear_form(u, v) for v in roots]
+                                      for u in roots]
+    assert gram_matrix([]) == []
+    with pytest.raises(TypeError):
+        gram_matrix([A2.simple_root(1), A3.simple_root(1)])
+    with pytest.raises(TypeError):
+        gram_matrix([A2.simple_root(1), A2.fundamental_weight(1)])
 
 
 def test_extremal_exponents():

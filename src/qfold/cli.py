@@ -27,7 +27,6 @@ from .initquiver import (
 from .qcluster import (
     CompatibilityError,
     TorusDivisionError,
-    check_compatible,
     enumerate_exchange_graph,
     initial_seed,
     mutate_seed,
@@ -182,8 +181,7 @@ def _oracle_seed(config):
 
 def _seed_payload(seed, minors=None):
     payload = seed_to_json(seed)
-    payload["e"] = {str(k): v for k, v in sorted(
-        check_compatible(seed.pair).items())}
+    payload["e"] = {str(k): v for k, v in sorted(seed.pair.e.items())}
     if minors is not None:
         payload["minors"] = {str(t): shuffle_to_json(minors[t])
                              for t in sorted(minors)}

@@ -10,13 +10,15 @@ the Laurent phenomenon is exercised once per new cluster variable.  Seeds
 also carry their tropical data, extended g-vectors and c-vectors, and the
 seeds of one exchange graph share one table of variables keyed by
 g-vector: a variable is computed by the exchange step only the first time
-its g-vector appears.
+its g-vector appears.  Every edge of the exchange graph is checked
+(mutation_step); only the seeds the graph stores are built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from operator import mul
 
 from .laurent import (
@@ -28,7 +30,7 @@ from .laurent import (
     qpower_ratio,
     scale_terms,
 )
-from .rootdata import Root, bilinear_form, gram_matrix
+from .rootdata import Root, bilinear_form, gram_matrix, gram_row
 
 
 class CompatibilityError(ValueError):
@@ -77,6 +79,11 @@ class CompatiblePair:
     def b_entry(self, s, t):
         return self.b[self.pos(s)][self.ex_pos(t)]
 
+    @cached_property
+    def e(self):
+        """check_compatible(self), run once per pair."""
+        return check_compatible(self)
+
 
 def check_compatible(pair: CompatiblePair):
     """Verify Lambda B = -2E; returns {exchangeable label: e > 0}.
@@ -114,10 +121,7 @@ def mutate_pair(pair: CompatiblePair, k) -> CompatiblePair:
     kp = pair.pos(k)
     kc = pair.ex_pos(k)
     column = [row[kc] for row in pair.b]
-    positive = [(bik, row) for bik, row in zip(column, pair.lam) if bik > 0]
-    new_row = [sum((bik * row[t] for bik, row in positive), -value)
-               for t, value in enumerate(pair.lam[kp])]
-    new_row[kp] = 0
+    new_row = mutated_lambda_row(pair, k)
     lam = [list(row) for row in pair.lam]
     lam[kp] = new_row
     for row, value in zip(lam, new_row):
@@ -129,6 +133,17 @@ def mutate_pair(pair: CompatiblePair, k) -> CompatiblePair:
                   bij + (abs(bik) * bkj + bik * abs(bkj)) // 2
                   for c, (bij, bkj) in enumerate(zip(row, bk))])
     return CompatiblePair(pair.labels, pair.exchangeable, lam, b)
+
+
+def mutated_lambda_row(pair: CompatiblePair, k) -> list:
+    """Row k of Lambda mutated in direction k (see mutate_pair)."""
+    kp = pair.pos(k)
+    kc = pair.ex_pos(k)
+    positive = [(b[kc], row) for b, row in zip(pair.b, pair.lam) if b[kc] > 0]
+    new_row = [sum((bik * row[t] for bik, row in positive), -value)
+               for t, value in enumerate(pair.lam[kp])]
+    new_row[kp] = 0
+    return new_row
 
 
 # ---------------------------------------------------------------------------
@@ -367,15 +382,8 @@ class QuantumSeed:
                                            for r, s in enumerate(ex)})
             object.__setattr__(self, "table", {
                 g[s]: (self.degrees[s], self.variables[s]) for s in labels})
-        # lambda is skew and the form symmetric, so the upper triangle
-        # decides, and in the same order finds the same first mismatch.
-        gram = gram_matrix(self.degrees[s] for s in labels)
-        for r, (s, row, forms) in enumerate(zip(labels, self.pair.lam, gram)):
-            for c in range(r, len(labels)):
-                if (row[c] - forms[c]) % 2:
-                    raise ParityError(
-                        "lambda(%r,%r) and (d,d) parity mismatch"
-                        % (s, labels[c]))
+        for s, row in zip(labels, self.pair.lam):
+            check_parity_row(labels, s, row, self.degrees)
 
     def lambda_from_variables(self):
         """Recompute the q-commutation matrix of the stored variables."""
@@ -391,6 +399,20 @@ class QuantumSeed:
                 out[i][j] = m
                 out[j][i] = -m
         return tuple(tuple(r) for r in out)
+
+
+def check_parity_row(labels, k, row, degrees):
+    """Raise ParityError at the first label t, in order, where row[t] =
+    lambda_kt and (d_k, d_t) differ mod 2, named as in the upper triangle.
+    Lambda is skew and the form symmetric, so the rows in label order scan
+    the upper triangle in order: row k revisits only entries rows before
+    it passed."""
+    r = labels.index(k)
+    forms = gram_row(degrees[k], [degrees[t] for t in labels])
+    for c, (t, value, form) in enumerate(zip(labels, row, forms)):
+        if (value - form) % 2:
+            raise ParityError("lambda(%r,%r) and (d,d) parity mismatch"
+                              % ((t, k) if c < r else (k, t)))
 
 
 def _unit_vector(size, r):
@@ -457,7 +479,7 @@ def exchange_monomials(pair: CompatiblePair, k):
     """(a+, a-, e_k) of direction k: the positive and negative parts of
     column k of B as {label: exponent}, and e_k from Lambda B = -2E.  Raises
     CompatibilityError or, for a frozen direction, KeyError."""
-    e = check_compatible(pair)
+    e = pair.e
     if k not in e:
         raise KeyError("direction %r is frozen" % (k,))
     kc = pair.ex_pos(k)
@@ -529,16 +551,18 @@ def tropical_mutation(seed: QuantumSeed, k):
     return g, c
 
 
-def mutate_seed(seed: QuantumSeed, k) -> QuantumSeed:
-    """Quantum seed mutation: check_compatible (through
-    exchange_monomials; a frozen direction is a KeyError), mutate_pair,
-    the degree deg(Y^{a+}) - deg(Y_k) of the new variable, the tropical
-    step of tropical_mutation, and the new variable.  That comes from the
-    seed's table when its g-vector is there (its stored degree must be the
-    new degree, or CompatibilityError), and otherwise from the exchange
-    step of mutated_variable, which is then stored."""
+def mutation_step(seed: QuantumSeed, k):
+    """Every check of the mutation in direction k, without building the
+    mutated seed; returns its (degrees, variables, g, c).  In order: the
+    seed's compatibility (pair.e; a frozen direction is a KeyError), the
+    degree rule deg(Y^{a+}) - deg(Y_k), tropical_mutation with its sign
+    check, stored_variable (a table hit checks the degree, a miss runs
+    mutated_variable), and check_parity_row on the new row k of Lambda.
+    That row gives the mutated seed's parity verdict and first mismatch:
+    the seed passed the full check when it was built, and mutation changes
+    only row and column k and degree k."""
     a_plus, _, _ = exchange_monomials(seed.pair, k)
-    pair = mutate_pair(seed.pair, k)
+    row = mutated_lambda_row(seed.pair, k)
     degrees = dict(seed.degrees)
     degrees[k] = sum((a * seed.degrees[t] for t, a in a_plus.items() if a),
                      -seed.degrees[k])
@@ -546,7 +570,21 @@ def mutate_seed(seed: QuantumSeed, k) -> QuantumSeed:
     variables = dict(seed.variables)
     variables[k] = stored_variable(seed.table, g[k], degrees[k],
                                    lambda: mutated_variable(seed, k))
-    return QuantumSeed(pair, degrees, variables, seed.unit, g, c, seed.table)
+    check_parity_row(seed.pair.labels, k, row, degrees)
+    return degrees, variables, g, c
+
+
+def mutate_seed(seed: QuantumSeed, k) -> QuantumSeed:
+    """Quantum seed mutation: the checks of mutation_step, then the
+    mutated pair of mutate_pair and the mutated seed, whose constructor
+    runs the full parity check."""
+    return _built_seed(seed, k, mutation_step(seed, k))
+
+
+def _built_seed(seed, k, step):
+    degrees, variables, g, c = step
+    return QuantumSeed(mutate_pair(seed.pair, k), degrees, variables,
+                       seed.unit, g, c, seed.table)
 
 
 def stored_variable(table: dict, g, degree, compute):
@@ -616,38 +654,40 @@ def seed_canonical_key(seed: QuantumSeed):
 
 
 def enumerate_exchange_graph(seed: QuantumSeed, bound: int = 1000) -> ExchangeGraph:
-    """BFS over all mutation sequences, one mutate_seed per edge.
+    """BFS over all mutation sequences: every edge is checked by
+    mutation_step, and only the seeds the graph stores are built.
 
     Seeds are keyed by the sorted g-vectors of their exchangeable
     variables, so each cluster is stored once.  Once `bound` seeds are
     stored, no new seed is stored: an edge to a seed that is not stored
     is dropped and the graph is flagged incomplete.
     """
+    ex = seed.pair.exchangeable
     seeds = [seed]
-    index = {_cluster_key(seed): 0}
+    index = {_cluster_key(seed.g, ex): 0}
     edges = []
     frontier = [0]
     complete = True
     while frontier:
         new_frontier = []
         for src in frontier:
-            for k in seed.pair.exchangeable:
-                mutated = mutate_seed(seeds[src], k)
-                key = _cluster_key(mutated)
+            for k in ex:
+                step = mutation_step(seeds[src], k)
+                key = _cluster_key(step[2], ex)
                 if key not in index:
                     if len(seeds) >= bound:
                         complete = False
                         continue
                     index[key] = len(seeds)
-                    seeds.append(mutated)
+                    seeds.append(_built_seed(seeds[src], k, step))
                     new_frontier.append(index[key])
                 edges.append((src, k, index[key]))
         frontier = new_frontier
     return ExchangeGraph(seeds, edges, complete)
 
 
-def _cluster_key(seed: QuantumSeed):
-    return tuple(sorted(seed.g[s] for s in seed.pair.exchangeable))
+def _cluster_key(g, exchangeable):
+    return tuple(sorted(g[s] for s in exchangeable))
 
 
 def torus_to_json(x: TorusElement) -> dict:

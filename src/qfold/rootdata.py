@@ -310,21 +310,24 @@ def bilinear_form(u, v):
     return int(total) if total.denominator == 1 else total
 
 
-def gram_matrix(roots) -> list:
-    """[[bilinear_form(u, v) for v in roots] for u in roots] for Roots over
-    one Cartan datum: each v is sent once to its pairings (alpha_i, v) =
-    d_i sum_j a_ij v_j, and then every entry is a coordinate dot product."""
+def gram_row(u, roots) -> list:
+    """[bilinear_form(u, v) for v in roots] for Roots over one Cartan datum:
+    u is sent once to its pairings (alpha_i, u) = d_i sum_j a_ij u_j, and
+    then every entry is a coordinate dot product."""
     roots = list(roots)
-    if not roots:
-        return []
-    datum = roots[0].datum
-    if any(type(v) is not Root or v.datum != datum for v in roots):
-        raise TypeError("gram_matrix takes Roots over one Cartan datum")
-    images = [tuple(d * sum(map(mul, row, v.coords))
-                    for d, row in zip(datum.symmetrizers, datum.cartan))
-              for v in roots]
-    return [[sum(map(mul, u.coords, image)) for image in images]
-            for u in roots]
+    datum = u.datum
+    if any(type(v) is not Root or v.datum is not datum and v.datum != datum
+           for v in [u] + roots):
+        raise TypeError("gram_row takes Roots over one Cartan datum")
+    image = tuple(d * sum(map(mul, row, u.coords))
+                  for d, row in zip(datum.symmetrizers, datum.cartan))
+    return [sum(map(mul, v.coords, image)) for v in roots]
+
+
+def gram_matrix(roots) -> list:
+    """[gram_row(u, roots) for u in roots]."""
+    roots = list(roots)
+    return [gram_row(u, roots) for u in roots]
 
 
 def extremal_exponents(lam: Weight, word):

@@ -20,7 +20,6 @@ from .laurent import ONE, LaurentScalar, exact_int, q_factorial
 from .qcluster import (
     CompatibilityError,
     QuantumSeed,
-    check_compatible,
     enumerate_exchange_graph,
     exchange_rhs,
     initial_seed,
@@ -138,7 +137,7 @@ def check_initial_lambda(input_spec, word) -> VerificationReport:
                     "Lambda %d" % (s, t, m, lam),
                     {"pair": [s, t], "oracle": m, "lambda": lam})
     try:
-        e = check_compatible(pair)
+        e = pair.e
     except CompatibilityError as exc:
         return VerificationReport(
             "initial_lambda", instance, False, "fail", str(exc),

@@ -10,6 +10,7 @@ command on three inputs (A2, A3 and C2 folded from A3), plus plain
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import tempfile
@@ -17,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+from qfold import qcluster
 from qfold.cli import main
 
 CORPUS = Path(__file__).with_name("data_cli_golden.json")
@@ -89,6 +91,36 @@ def test_c2_type_enumerates_like_its_folded_quiver(tmp_path):
     code, out, err = run_case(["enumerate"], config, tmp_path)
     assert (code, err) == (0, "")
     assert out == "".join(GOLDEN["C2/enumerate"]["stdout"])
+
+
+def test_a4_enumerate_output_and_work(tmp_path, monkeypatch):
+    # The benchmark's enumerate job at seed 0.  Its 4032 edges are all
+    # checked, but only the 672 stored seeds are built: one compatibility
+    # check per seed, one exchange step per new variable.
+    calls = {"check_compatible": 0, "mutated_variable": 0, "seeds": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in ("check_compatible", "mutated_variable"):
+        monkeypatch.setattr(qcluster, name,
+                            counted(name, getattr(qcluster, name)))
+    monkeypatch.setattr(qcluster.QuantumSeed, "__post_init__",
+                        counted("seeds", qcluster.QuantumSeed.__post_init__))
+    config = {"input": {"type": ["A", 4]},
+              "word": [1, 2, 1, 3, 2, 1, 4, 3, 2, 1]}
+    code, out, err = run_case(["enumerate"], config, tmp_path)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "436215e8267e491f19f91076ad9ca90f835bca4bf9b6c8f286796e70b3b3ca1a"
+    graph = json.loads(out)
+    assert (graph["seeds"], len(graph["edges"]),
+            len(graph["cluster_variables"])) == (672, 4032, 40)
+    assert calls == {"check_compatible": 672, "mutated_variable": 30,
+                     "seeds": 672}
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ from qfold import qcluster, verify
 from qfold.initquiver import initial_pair
 from qfold.qcluster import (
     CompatibilityError,
+    ParityError,
     QuantumSeed,
     check_compatible,
     enumerate_exchange_graph,
@@ -64,6 +65,31 @@ def assert_pointed(graph):
                 assert min(v, default=0) >= 0, (s, exponent, g)
                 assert [sum(x * y for x, y in zip(row, v))
                         for row in pair.b] == d, (s, exponent, g)
+
+
+@pytest.mark.parametrize("input_spec, word, slow", GRAPHS)
+def test_seeds_match_their_tropical_data(input_spec, word, slow,
+                                         slow_enabled):
+    # Every stored seed's Lambda and degrees follow from its g-vectors and
+    # the initial seed: Lambda_t[s][u] = g_s^T Lambda_0 g_u and
+    # deg_t(s) = sum_i g_s[i] deg_0(i).
+    if slow and not slow_enabled:
+        pytest.skip("needs --slow")
+    graph = enumerate_exchange_graph(_initial_seed(input_spec, word))
+    initial = graph.seeds[0]
+    labels = initial.pair.labels
+    lam0 = initial.pair.lam
+    for seed in graph.seeds:
+        g = [seed.g[s] for s in labels]
+        assert seed.pair.lam == tuple(
+            tuple(sum(gs[i] * lam0[i][j] * gu[j]
+                      for i in range(len(labels)) for j in range(len(labels)))
+                  for gu in g)
+            for gs in g)
+        for s, gs in zip(labels, g):
+            zero = initial.degrees[s] - initial.degrees[s]
+            assert seed.degrees[s] == sum(
+                (x * initial.degrees[t] for x, t in zip(gs, labels)), zero)
 
 
 @pytest.mark.parametrize("input_spec, word, slow", GRAPHS)
@@ -142,6 +168,27 @@ def test_corrupted_table_entry_is_caught():
     seed.table[seed.g[1]] = (degree + degree, variable)
     with pytest.raises(CompatibilityError, match="g-vector"):
         enumerate_exchange_graph(seed)
+
+
+def test_corrupted_degree_is_caught_on_an_edge_that_builds_no_seed(
+        monkeypatch):
+    # The second A2 edge leads from the one built seed back to the initial
+    # cluster, so it builds no seed; its row parity check still runs.  The
+    # built seed's degree d_3 is corrupted after its full check, by alpha_2,
+    # which leaves the degree rule on that edge alone: b_31 = -1 there.
+    built = []
+
+    class CorruptedAfterCheck(QuantumSeed):
+        def __post_init__(self):
+            super().__post_init__()
+            built.append(self)
+            self.degrees[3] += self.degrees[3].datum.simple_root(2)
+
+    seed = _initial_seed({"type": ["A", 2]}, (1, 2, 1))
+    monkeypatch.setattr(qcluster, "QuantumSeed", CorruptedAfterCheck)
+    with pytest.raises(ParityError, match=r"lambda\(1,3\)"):
+        enumerate_exchange_graph(seed)
+    assert len(built) == 1
 
 
 def test_mixed_sign_c_vector_is_caught():

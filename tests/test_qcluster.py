@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pair_generators import random_compatible_pair
 from qfold.laurent import ONE, parse_scalar
@@ -16,6 +18,7 @@ from qfold.qcluster import (
     QuantumTorus,
     TorusDivisionError,
     check_compatible,
+    check_parity_row,
     enumerate_exchange_graph,
     initial_seed,
     left_divide,
@@ -27,7 +30,7 @@ from qfold.qcluster import (
     specialize_classical,
     torus_qcommute,
 )
-from qfold.rootdata import cartan_datum
+from qfold.rootdata import cartan_datum, gram_matrix
 
 A2 = cartan_datum("A", 2)
 C2 = cartan_datum("C", 2)
@@ -66,6 +69,7 @@ def test_check_compatible():
     assert check_compatible(empty) == {}
     assert check_compatible(a2_pair()) == {1: 1}
     assert check_compatible(c2_pair()) == {1: 2, 2: 1}
+    assert c2_pair().e == {1: 2, 2: 1}
     bad = CompatiblePair((1, 2), (1,), ((0, 0), (0, 0)), ((0,), (-1,)))
     with pytest.raises(CompatibilityError) as err:
         check_compatible(bad)
@@ -254,6 +258,44 @@ def test_parity_violation_detected():
     degrees = {1: A2.root((1, 0)), 2: A2.root((1, 0)), 3: A2.root((1, 1))}
     with pytest.raises(ParityError):
         initial_seed(a2_pair(), degrees)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.data())
+def test_parity_row_check_matches_full_check(data):
+    # Lambda and degrees that pass the full check, then row and column k
+    # and degree k replaced by arbitrary integers and a root: the row-k
+    # check raises exactly when the constructor's full check raises, with
+    # the same message.
+    datum = data.draw(st.sampled_from([A2, C2, cartan_datum("G", 2)]))
+    root = st.lists(st.integers(-3, 3), min_size=2, max_size=2).map(
+        datum.root)
+    size = data.draw(st.integers(1, 5))
+    labels = tuple(range(1, size + 1))
+    degrees = {s: data.draw(root) for s in labels}
+    forms = gram_matrix(degrees[s] for s in labels)
+    lam = [[0] * size for _ in labels]
+    r = data.draw(st.integers(0, size - 1))
+    for a in range(size):
+        for c in range(a + 1, size):
+            if r in (a, c):
+                lam[a][c] = data.draw(st.integers(-5, 5))
+            else:
+                lam[a][c] = forms[a][c] + 2 * data.draw(st.integers(-2, 2))
+            lam[c][a] = -lam[a][c]
+    degrees[labels[r]] = data.draw(root)
+
+    def message(check):
+        try:
+            check()
+        except ParityError as exc:
+            return str(exc)
+        return None
+
+    pair = CompatiblePair(labels, (), lam, [()] * size)
+    full = message(lambda: initial_seed(pair, degrees))
+    assert message(lambda: check_parity_row(labels, labels[r], lam[r],
+                                            degrees)) == full
 
 
 def test_mutate_seed_a2():

@@ -115,7 +115,7 @@ def _word(config, datum, quiver):
 def _resolved(config):
     spec = _require(config, "input")
     try:
-        return resolve_input(spec), spec
+        return resolve_input(spec)
     except (InvalidQuiverError, ValueError, KeyError, TypeError) as exc:
         raise InputError(str(exc)) from exc
 
@@ -139,7 +139,7 @@ def cmd_fold(config, args):
 
 
 def cmd_roots(config, args):
-    (datum, quiver), _ = _resolved(config)
+    datum, quiver = _resolved(config)
     word = _word(config, datum, quiver)
     betas = inversion_roots(datum, word)
     _emit({"word": [list(x) if isinstance(x, tuple) else x for x in word],
@@ -165,7 +165,7 @@ def _from_word(config, build):
     """build(datum, word, quiver) on the config's input and word; its
     ValueError (a word that is not reduced, or a staircase asked of a
     symmetrizable datum without its quiver) is an input error."""
-    (datum, quiver), _ = _resolved(config)
+    datum, quiver = _resolved(config)
     word = _word(config, datum, quiver)
     try:
         return build(datum, word, quiver)

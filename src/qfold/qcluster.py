@@ -556,8 +556,9 @@ def mutation_step(seed: QuantumSeed, k):
     mutated seed; returns its (degrees, variables, g, c).  In order: the
     seed's compatibility (pair.e; a frozen direction is a KeyError), the
     degree rule deg(Y^{a+}) - deg(Y_k), tropical_mutation with its sign
-    check, stored_variable (a table hit checks the degree, a miss runs
-    mutated_variable), and check_parity_row on the new row k of Lambda.
+    check, the variable of g-vector g'_k in the seed's table (a hit checks
+    its stored degree, a miss runs mutated_variable and stores the result
+    with its degree), and check_parity_row on the new row k of Lambda.
     That row gives the mutated seed's parity verdict and first mismatch:
     the seed passed the full check when it was built, and mutation changes
     only row and column k and degree k."""
@@ -567,9 +568,15 @@ def mutation_step(seed: QuantumSeed, k):
     degrees[k] = sum((a * seed.degrees[t] for t, a in a_plus.items() if a),
                      -seed.degrees[k])
     g, c = tropical_mutation(seed, k)
+    entry = seed.table.get(g[k])
+    if entry is None:
+        entry = seed.table[g[k]] = (degrees[k], mutated_variable(seed, k))
+    elif entry[0] != degrees[k]:
+        raise CompatibilityError(
+            "variable of g-vector %r has degree %r, expected %r"
+            % (g[k], entry[0], degrees[k]))
     variables = dict(seed.variables)
-    variables[k] = stored_variable(seed.table, g[k], degrees[k],
-                                   lambda: mutated_variable(seed, k))
+    variables[k] = entry[1]
     check_parity_row(seed.pair.labels, k, row, degrees)
     return degrees, variables, g, c
 
@@ -585,20 +592,6 @@ def _built_seed(seed, k, step):
     degrees, variables, g, c = step
     return QuantumSeed(mutate_pair(seed.pair, k), degrees, variables,
                        seed.unit, g, c, seed.table)
-
-
-def stored_variable(table: dict, g, degree, compute):
-    """The variable of g-vector g in the table, or compute() stored there
-    with its degree.  A stored degree other than `degree` raises
-    CompatibilityError."""
-    entry = table.get(g)
-    if entry is None:
-        entry = table[g] = (degree, compute())
-    elif entry[0] != degree:
-        raise CompatibilityError(
-            "variable of g-vector %r has degree %r, expected %r"
-            % (g, entry[0], degree))
-    return entry[1]
 
 
 def specialize_classical(x: TorusElement) -> dict:

@@ -22,10 +22,7 @@ from .qcluster import (
     QuantumSeed,
     enumerate_exchange_graph,
     exchange_rhs,
-    initial_seed,
-    mutated_variable,
     normalized_monomial,
-    stored_variable,
 )
 from .rootdata import (
     apply_word,
@@ -331,31 +328,15 @@ def check_dual_canonical_conditions(element: ShuffleElement,
 
 
 def realized_exchange_graph(datum, word, quiver=None, bound=200) -> list:
-    """The seeds of enumerate_exchange_graph's graph, in its order, realized
-    in the shuffle algebra: each new seed takes the pair, degrees and
-    tropical data of the torus seed.  Its one new variable comes from the
-    shuffle seeds' table by the torus seed's g-vector; only a g-vector not
-    seen before is materialized, by mirroring the torus mutation along the
-    seed's discovery edge (its first edge in graph.edges) with the same
-    exchange step, mutated_variable, on shuffle elements.  Raises
-    RuntimeError when the graph has more than `bound` seeds."""
-    realized = [oracle_seed_data(datum, word, quiver)]
-    table = realized[0].table
-    graph = enumerate_exchange_graph(
-        initial_seed(realized[0].pair, realized[0].degrees), bound)
+    """The seeds of the exchange graph of oracle_seed_data's seed, in
+    enumerate_exchange_graph's order: its cluster variables are shuffle
+    elements, each computed once by the exchange step mutated_variable.
+    Raises RuntimeError when the graph has more than `bound` seeds."""
+    graph = enumerate_exchange_graph(oracle_seed_data(datum, word, quiver),
+                                     bound)
     if not graph.complete:
         raise RuntimeError("exchange graph exceeded bound")
-    for src, k, dst in graph.edges:
-        if dst != len(realized):
-            continue
-        seed = graph.seeds[dst]
-        variables = dict(realized[src].variables)
-        variables[k] = stored_variable(
-            table, seed.g[k], seed.degrees[k],
-            lambda: mutated_variable(realized[src], k))
-        realized.append(QuantumSeed(seed.pair, seed.degrees, variables,
-                                    realized[0].unit, seed.g, seed.c, table))
-    return realized
+    return graph.seeds
 
 
 def check_word_independence(input_spec, word1, word2, bound=200) \

@@ -1,8 +1,9 @@
 """Byte-for-byte regression test of the CLI against a recorded corpus.
 
 `data_cli_golden.json` holds the stdout, stderr and exit code of every
-command on three inputs (A2, A3 and C2 folded from A3), plus plain
-`verify`.  Regenerate it only for an intended output change:
+command on three inputs (A2, A3 and C2 folded from A3), plus `verify`
+on the fast catalog, on both catalogs, and on both with `--max-steps 5`.
+Regenerate it only for an intended output change:
 
     PYTHONPATH=src python3 tests/test_cli_golden.py
 """
@@ -45,6 +46,9 @@ def cases():
         for argv in COMMANDS:
             out["%s/%s" % (name, " ".join(argv))] = (argv, config)
     out["verify"] = (["verify"], None)
+    out["verify --slow"] = (["verify", "--slow"], None)
+    out["verify --slow --max-steps 5"] = (
+        ["verify", "--slow", "--max-steps", "5"], None)
     return out
 
 

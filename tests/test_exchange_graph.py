@@ -8,7 +8,7 @@ import pytest
 
 import exchange_graph_reference as reference
 from test_verify import C2_QUIVER, REALIZED_GRAPHS
-from qfold import qcluster, verify
+from qfold import qcluster
 from qfold.initquiver import initial_pair
 from qfold.qcluster import (
     CompatibilityError,
@@ -144,13 +144,13 @@ def test_each_variable_is_computed_once(input_spec, word, materialized,
 @pytest.mark.parametrize("input_spec, word, slow", REALIZED_GRAPHS)
 def test_shuffle_side_computes_each_variable_once(input_spec, word, slow,
                                                   slow_enabled, monkeypatch):
-    # The shuffle seeds share one table keyed by the torus g-vectors: one
-    # shuffle exchange step per variable that is not initial.
+    # The shuffle seeds share one table keyed by g-vectors: one shuffle
+    # exchange step per variable that is not initial.
     if slow and not slow_enabled:
         pytest.skip("needs --slow")
     calls = []
-    exchange_step = verify.mutated_variable
-    monkeypatch.setattr(verify, "mutated_variable",
+    exchange_step = qcluster.mutated_variable
+    monkeypatch.setattr(qcluster, "mutated_variable",
                         lambda s, k: calls.append(k) or exchange_step(s, k))
     datum, quiver = resolve_input(input_spec)
     seeds = realized_exchange_graph(datum, word, quiver)
@@ -158,6 +158,36 @@ def test_shuffle_side_computes_each_variable_once(input_spec, word, slow,
     distinct = {seed.g[s] for seed in seeds for s in labels}
     assert len(calls) == len(distinct) - len(labels)
     assert len(seeds[0].table) == len(distinct)
+
+
+@pytest.mark.parametrize("input_spec, word", [
+    ({"type": ["A", 3]}, (1, 2, 1, 3, 2, 1)),
+    (C2_QUIVER, (1, 2, 1, 2)),
+])
+def test_shuffle_graph_is_the_torus_graph_without_torus_arithmetic(
+        input_spec, word, monkeypatch):
+    # The shuffle seeds are enumerated from the oracle's initial seed
+    # itself: no torus product or division runs, and seed by seed they
+    # carry the torus graph's pairs, degrees and tropical data.
+    calls = {"torus_mul": 0, "left_divide": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    datum, quiver = resolve_input(input_spec)
+    with monkeypatch.context() as patch:
+        patch.setattr(qcluster.TorusElement, "__mul__", counted(
+            "torus_mul", qcluster.TorusElement.__mul__))
+        patch.setattr(qcluster, "left_divide",
+                      counted("left_divide", qcluster.left_divide))
+        seeds = realized_exchange_graph(datum, word, quiver)
+    assert calls == {"torus_mul": 0, "left_divide": 0}
+    expected = enumerate_exchange_graph(_initial_seed(input_spec, word)).seeds
+    assert [(s.pair, s.degrees, s.g, s.c) for s in seeds] \
+        == [(s.pair, s.degrees, s.g, s.c) for s in expected]
 
 
 def test_corrupted_table_entry_is_caught():

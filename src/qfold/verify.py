@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 
 from .folding import fold, quiver_from_json
@@ -382,11 +382,23 @@ def check_cluster_monomials(input_spec, word, max_exponent=1) \
         -> VerificationReport:
     """Every cluster monomial from the full exchange graph passes the
     dual-canonical-type shadow conditions: exponents up to max_exponent of
-    total degree at most 2, and the square of every variable."""
+    total degree at most 2, and the square of every variable.
+
+    Seeds that share variables share monomials, and each distinct monomial
+    is built and checked once per call.  It is keyed by the g-vectors and
+    exponents of its support in label order and by the Lambda block on
+    that support.  The key is exact: normalized_monomial is q^{p4} times
+    the variables in label order, the seeds of one graph share one g-vector
+    table (mutation_step checks each stored degree against it), so the
+    g-vectors fix the variables and their degrees, and p4 depends only on
+    those degrees and that Lambda block.  A failure ends the call, so only
+    passing keys are kept; the first failing exponents are those of the
+    seed-by-seed loop.  The details count every (seed, exponent) pair."""
     instance = {"check": "cluster_monomials", "input": input_spec,
                 "word": list(word), "max_exponent": max_exponent}
     datum, quiver = resolve_input(input_spec)
     seeds = realized_exchange_graph(datum, word, quiver)
+    passed = set()
     tested = 0
     for seed in seeds:
         labels = seed.pair.labels
@@ -402,13 +414,19 @@ def check_cluster_monomials(input_spec, word, max_exponent=1) \
             if c not in combos:
                 combos.append(c)
         for a in combos:
+            tested += 1
+            support = [i for i, s in enumerate(labels) if a[s]]
+            key = (tuple((seed.g[labels[i]], a[labels[i]]) for i in support),
+                   tuple(tuple(seed.pair.lam[i][j] for j in support)
+                         for i in support))
+            if key in passed:
+                continue
             monomial = normalized_shuffle_monomial(a, seed)
             report = check_dual_canonical_conditions(monomial)
-            tested += 1
             if not report.passed:
-                report.instance = dict(instance, exponents={str(k): v
-                                                            for k, v in a.items()})
-                return report
+                return replace(report, instance=dict(
+                    instance, exponents={str(k): v for k, v in a.items()}))
+            passed.add(key)
     return VerificationReport("cluster_monomials", instance, True, "pass",
                               "%d monomials over %d seeds"
                               % (tested, len(seeds)))

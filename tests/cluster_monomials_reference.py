@@ -1,0 +1,47 @@
+"""Reference cluster-monomial check: the per-(seed, exponent) loop that
+qfold.verify.check_cluster_monomials replaces.
+
+It builds and checks the normalized monomial of every exponent in every
+seed, so a monomial shared by several seeds is checked once per seed.  The
+function body is kept as it was before the check remembered its verdicts;
+it serves only the differential tests.  It calls qfold.verify through the
+module, so a test that patches realized_exchange_graph patches it here too.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+from qfold import verify
+
+
+def check_cluster_monomials(input_spec, word, max_exponent=1):
+    instance = {"check": "cluster_monomials", "input": input_spec,
+                "word": list(word), "max_exponent": max_exponent}
+    datum, quiver = verify.resolve_input(input_spec)
+    seeds = verify.realized_exchange_graph(datum, word, quiver)
+    tested = 0
+    for seed in seeds:
+        labels = seed.pair.labels
+        exponent_sets = []
+        for s in labels:
+            exponent_sets.append([(s, v) for v in range(max_exponent + 1)])
+        combos = [{s: v for s, v in combo}
+                  for combo in itertools.product(*exponent_sets)]
+        combos = [c for c in combos if 0 < sum(c.values()) <= 2]
+        for s in labels:
+            c = dict.fromkeys(labels, 0)
+            c[s] = 2
+            if c not in combos:
+                combos.append(c)
+        for a in combos:
+            monomial = verify.normalized_shuffle_monomial(a, seed)
+            report = verify.check_dual_canonical_conditions(monomial)
+            tested += 1
+            if not report.passed:
+                report.instance = dict(instance, exponents={str(k): v
+                                                            for k, v in a.items()})
+                return report
+    return verify.VerificationReport("cluster_monomials", instance, True,
+                                     "pass", "%d monomials over %d seeds"
+                                     % (tested, len(seeds)))

@@ -2,7 +2,8 @@
 
 `data_cli_golden.json` holds the stdout, stderr and exit code of every
 command on three inputs (A2, A3 and C2 folded from A3), plus `verify`
-on the fast catalog, on both catalogs, and on both with `--max-steps 5`.
+on the fast catalog, on both catalogs, on both with `--max-steps 5`, and
+on one `cluster_monomials` check over the A3 w0 exchange graph.
 Regenerate it only for an intended output change:
 
     PYTHONPATH=src python3 tests/test_cli_golden.py
@@ -49,6 +50,9 @@ def cases():
     out["verify --slow"] = (["verify", "--slow"], None)
     out["verify --slow --max-steps 5"] = (
         ["verify", "--slow", "--max-steps", "5"], None)
+    out["A3/verify cluster_monomials"] = (["verify"], {"checks": [
+        {"check": "cluster_monomials", "input": {"type": ["A", 3]},
+         "word": [1, 2, 1, 3, 2, 1], "max_exponent": 1}]})
     return out
 
 

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cluster_monomials_reference
 import realization_reference
 from minor_search_reference import reference_name
 from test_initquiver import _reduced_prefix
@@ -45,13 +47,15 @@ from qfold.verify import (
 )
 
 A2_INPUT = {"type": ["A", 2]}
+A3_INPUT = {"type": ["A", 3]}
+A3_W0 = (1, 2, 1, 3, 2, 1)
 C2_QUIVER = {"quiver": {"vertices": [1, 2, 3], "edges": [[1, 2], [3, 2]],
                         "automorphism": {"1": 3, "2": 2, "3": 1}}}
 # (input, word, needs --slow) of the exchange graphs realized in full.
 REALIZED_GRAPHS = [
     (A2_INPUT, (1, 2, 1), False),
     (C2_QUIVER, (1, 2, 1, 2), False),
-    ({"type": ["A", 3]}, (1, 2, 1, 3, 2, 1), True),
+    (A3_INPUT, A3_W0, True),
 ]
 
 
@@ -253,9 +257,63 @@ def test_dual_canonical_coefficient_negative_control():
 
 
 def test_cluster_monomials_a2():
+    # The details count (seed, exponent) pairs, repeats included.
     r = check_cluster_monomials(A2_INPUT, (1, 2, 1))
-    assert r.passed
-    assert "2 seeds" in r.details
+    assert r.passed and r.details == "18 monomials over 2 seeds"
+
+
+def test_cluster_monomials_c2():
+    r = check_cluster_monomials(C2_QUIVER, (1, 2, 1, 2))
+    assert r.passed and r.details == "84 monomials over 6 seeds"
+
+
+@pytest.mark.parametrize("input_spec, word, distinct", [
+    (A2_INPUT, (1, 2, 1), 13),
+    (C2_QUIVER, (1, 2, 1, 2), 35),
+    (A3_INPUT, A3_W0, 78),
+])
+def test_cluster_monomials_check_each_monomial_once(input_spec, word,
+                                                    distinct, monkeypatch):
+    # Differential: the same report as the per-(seed, exponent) reference
+    # loop, from one dual-canonical check per distinct monomial.  A second
+    # call repeats every check: nothing is remembered between calls.
+    expected = cluster_monomials_reference.check_cluster_monomials(
+        input_spec, word).to_json()
+    calls = []
+
+    def counted(element):
+        calls[-1] += 1
+        return check_dual_canonical_conditions(element)
+
+    monkeypatch.setattr(verify, "check_dual_canonical_conditions", counted)
+    for _ in range(2):
+        calls.append(0)
+        assert check_cluster_monomials(input_spec, word).to_json() == expected
+    assert calls == [distinct, distinct]
+
+
+def test_cluster_monomials_tell_seeds_apart_by_lambda(monkeypatch):
+    # Negative control: seed 1 keeps seed 0's variables at s and t, but its
+    # lambda_st is moved by 2 (parity and skew-symmetry kept), so there
+    # Y_s Y_t is a q-power times a bar-invariant element.  A verdict keyed
+    # by the g-vectors alone would be seed 0's pass.
+    datum, quiver = resolve_input(A3_INPUT)
+    seeds = realized_exchange_graph(datum, A3_W0, quiver)
+    seed = seeds[1]
+    s, t = [x for x in seed.pair.labels if seed.g[x] == seeds[0].g[x]][:2]
+    lam = [list(row) for row in seed.pair.lam]
+    lam[seed.pair.pos(s)][seed.pair.pos(t)] += 2
+    lam[seed.pair.pos(t)][seed.pair.pos(s)] -= 2
+    seeds[1] = dataclasses.replace(
+        seed, pair=dataclasses.replace(seed.pair, lam=lam))
+    monkeypatch.setattr(verify, "realized_exchange_graph",
+                        lambda *args: seeds)
+    r = check_cluster_monomials(A3_INPUT, A3_W0)
+    assert (r.status, r.details) == ("fail", "not bar-invariant")
+    exponents = {str(x): int(x in (s, t)) for x in seed.pair.labels}
+    assert r.instance["exponents"] == exponents
+    assert r.to_json() == cluster_monomials_reference.check_cluster_monomials(
+        A3_INPUT, A3_W0).to_json()
 
 
 def test_word_independence_a2():

@@ -18,7 +18,7 @@ from qfold.verify import (
     check_word_independence,
     load_catalog,
     resolve_input,
-    run_catalog,
+    run_check,
 )
 
 # --- One mutation, concretely ---------------------------------------------
@@ -56,5 +56,5 @@ print(check_word_independence(c2_input, (1, 2, 1, 2), (2, 1, 2, 1)).details)
 # --- The catalogued verification suite ----------------------------------------
 
 print("\nfast catalog:")
-for r in run_catalog(load_catalog("catalog_fast.json")):
+for r in map(run_check, load_catalog("catalog_fast.json")):
     print("  %-28s %-8s %s" % (r.check, r.status, r.details[:60]))

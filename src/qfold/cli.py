@@ -235,8 +235,7 @@ def cmd_verify(config, args):
             report = verify_mod.run_check(entry)
         except Exception as exc:  # surface as a failing report, CI-friendly
             report = verify_mod.VerificationReport(
-                entry.get("check", "?"), entry, False, "fail",
-                "error: %s" % exc)
+                entry.get("check", "?"), entry, "fail", "error: %s" % exc)
         reports.append(report)
         sys.stdout.write(json.dumps(report.to_json(), sort_keys=True) + "\n")
     failed = [r for r in reports if not r.passed]

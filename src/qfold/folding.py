@@ -185,16 +185,6 @@ def unfold_word(word, quiver: QuiverWithAut):
     return tuple(v for orbit in orbit_word(word, quiver) for v in orbit)
 
 
-def unfolded_blocks(word, quiver: QuiverWithAut):
-    """Position blocks of the unfolded word: one (orbit, [positions]) per letter."""
-    blocks = []
-    pos = 1
-    for orbit in orbit_word(word, quiver):
-        blocks.append((orbit, list(range(pos, pos + len(orbit)))))
-        pos += len(orbit)
-    return blocks
-
-
 def quiver_to_json(quiver: QuiverWithAut) -> dict:
     return {"vertices": list(quiver.vertices),
             "edges": [[s, t] for s, t in quiver.edges],

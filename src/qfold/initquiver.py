@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .folding import QuiverWithAut, orbit_word, underlying_datum, unfolded_blocks
+from .folding import QuiverWithAut, orbit_word, underlying_datum
 from .qcluster import CompatiblePair
 from .rootdata import CartanDatum, apply_word, bilinear_form, is_reduced
 from .uqn import MinorSpec
@@ -159,15 +159,16 @@ def vertex_orbits_from_unfolding(j_word, quiver: QuiverWithAut):
     orbit, so each block is one position orbit.  Returns (unfolded word,
     position orbit list, position permutation).
     """
-    blocks = unfolded_blocks(j_word, quiver)
     unfolded = []
+    orbits = []
     perm = {}
-    for orbit, positions in blocks:
+    for orbit in orbit_word(j_word, quiver):
+        spot = {v: pos for pos, v in enumerate(orbit, len(unfolded) + 1)}
         unfolded.extend(orbit)  # ascending, matching unfold_word's convention
-        spot = dict(zip(orbit, positions))
+        orbits.append(tuple(spot.values()))
         for v, pos in spot.items():
             perm[pos] = spot[quiver.automorphism[v]]
-    return tuple(unfolded), [tuple(p) for _, p in blocks], perm
+    return tuple(unfolded), orbits, perm
 
 
 def staircase(datum, word, quiver=None):

@@ -292,13 +292,7 @@ def bilinear_form(u, v):
     if isinstance(u, Weight) and isinstance(v, Root):
         u, v = v, u
     if isinstance(u, Root) and isinstance(v, Root):
-        total = 0
-        for r in range(n):
-            if u.coords[r]:
-                dr = datum.symmetrizers[r]
-                for c in range(n):
-                    total += u.coords[r] * v.coords[c] * dr * datum.cartan[r][c]
-        return total
+        return gram_row(u, [v])[0]
     if isinstance(u, Root) and isinstance(v, Weight):
         return sum(u.coords[c] * v.coords[c] * datum.symmetrizers[c]
                    for c in range(n))

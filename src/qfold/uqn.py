@@ -608,38 +608,9 @@ def minor_to_shuffle(spec: MinorSpec, context: OracleContext | None = None) -> S
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ShuffleTensor:
-    """A finite sum of pure tensors of words, the image of a coproduct split."""
-
-    datum: object
-    parts: tuple  # tuple of Root weights, one per tensor factor
-    terms: dict   # (word, ..., word) -> LaurentScalar
-
-    def __post_init__(self):
-        object.__setattr__(self, "terms",
-                           {tuple(tuple(w) for w in ws): c
-                            for ws, c in self.terms.items() if c})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, ShuffleTensor):
-            return NotImplemented
-        if self.datum != other.datum:
-            return False
-        if self.is_zero() and other.is_zero():
-            return True
-        return self.parts == other.parts and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.datum.indices, self.parts,
-                     tuple(sorted(self.terms.items(), key=lambda t: t[0]))))
-
-
-def coproduct_components(x: ShuffleElement, parts) -> ShuffleTensor:
-    """Split every word of x into consecutive blocks with the given weights.
+def coproduct_components(x: ShuffleElement, parts) -> dict:
+    """Split every word of x into consecutive blocks with the given weights:
+    {(block, ..., block): coefficient}, a sum of pure tensors of words.
 
     parts is a sequence of Root weights summing to the weight of x; block k
     must have letter content parts[k], otherwise the word contributes
@@ -668,13 +639,12 @@ def coproduct_components(x: ShuffleElement, parts) -> ShuffleTensor:
             blocks.append(block)
         if ok:
             acc[tuple(blocks)] = coeff
-    return ShuffleTensor(datum, parts, acc)
+    return acc
 
 
-def tensor_of_elements(factors) -> ShuffleTensor:
-    """The pure tensor x_1 (x) ... (x) x_n of shuffle elements."""
-    factors = list(factors)
-    datum = factors[0].datum
+def tensor_of_elements(factors) -> dict:
+    """The pure tensor x_1 (x) ... (x) x_n of shuffle elements, as
+    coproduct_components gives it: {(word, ..., word): coefficient}."""
     terms = {(): ONE}
     for f in factors:
         nxt = {}
@@ -682,7 +652,7 @@ def tensor_of_elements(factors) -> ShuffleTensor:
             for w, cw in f.terms.items():
                 nxt[words + (w,)] = c * cw
         terms = nxt
-    return ShuffleTensor(datum, tuple(f.weight for f in factors), terms)
+    return terms
 
 
 # ---------------------------------------------------------------------------

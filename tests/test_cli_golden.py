@@ -2,8 +2,9 @@
 
 `data_cli_golden.json` holds the stdout, stderr and exit code of every
 command on three inputs (A2, A3 and C2 folded from A3), plus `verify`
-on the fast catalog, on both catalogs, on both with `--max-steps 5`, and
-on one `cluster_monomials` check over the A3 w0 exchange graph.
+on the fast catalog, on both catalogs, on both with `--max-steps 5`, on
+one `cluster_monomials` check over the A3 w0 exchange graph, and on one
+inline list of checks that each fail.
 Regenerate it only for an intended output change:
 
     PYTHONPATH=src python3 tests/test_cli_golden.py
@@ -53,6 +54,15 @@ def cases():
     out["A3/verify cluster_monomials"] = (["verify"], {"checks": [
         {"check": "cluster_monomials", "input": {"type": ["A", 3]},
          "word": [1, 2, 1, 3, 2, 1], "max_exponent": 1}]})
+    a2 = INPUTS["A2"]["input"]
+    out["A2/verify failing checks"] = (["verify"], {"checks": [
+        {"check": "word_independence", "input": a2, "words": [[1, 2], [2, 1]]},
+        {"check": "word_independence", "input": a2, "words": [[1, 1], [1, 1]]},
+        {"check": "restriction_factorization", "input": a2, "fundamental": 1,
+         "chain_words": [[1], [1, 2, 1], []]},
+        {"check": "exchange_relation", "input": a2, "word": [1, 2, 1],
+         "direction": 3},
+        {"check": "no_such_check", "input": a2}]})
     return out
 
 

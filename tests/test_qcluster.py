@@ -107,6 +107,17 @@ def test_mutate_pair_random_property():
             assert mutate_pair(mutated, k) == pair
 
 
+def test_compatible_pairs_have_no_zero_exchangeable_column():
+    # Lambda B = -2E with every e_k > 0 forces column k of B to be nonzero,
+    # so an exchange relation never has two empty exchange monomials.
+    rng = random.Random(2025)
+    for _ in range(300):
+        pair = random_compatible_pair(rng)
+        assert all(check_compatible(pair).values())
+        for k in pair.exchangeable:
+            assert any(row[pair.ex_pos(k)] for row in pair.b), (pair, k)
+
+
 def test_mutate_pair_frozen_direction_rejected():
     with pytest.raises(KeyError):
         mutate_pair(a2_pair(), 2)

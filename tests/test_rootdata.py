@@ -138,8 +138,15 @@ def test_gram_matrix_is_the_bilinear_form():
     for datum in (A2, A3, b3, C2, G2):
         roots = [datum.root([rng.randint(-3, 3) for _ in datum.indices])
                  for _ in range(8)]
-        assert gram_matrix(roots) == [[bilinear_form(u, v) for v in roots]
-                                      for u in roots]
+        n = datum.rank
+        # (u, v) = sum_{r,c} u_r v_c d_r a_rc, written out.
+        explicit = [[sum(u.coords[r] * v.coords[c] * datum.symmetrizers[r]
+                         * datum.cartan[r][c]
+                         for r in range(n) for c in range(n))
+                     for v in roots] for u in roots]
+        assert gram_matrix(roots) == explicit
+        assert [[bilinear_form(u, v) for v in roots]
+                for u in roots] == explicit
     assert gram_matrix([]) == []
     with pytest.raises(TypeError):
         gram_matrix([A2.simple_root(1), A3.simple_root(1)])

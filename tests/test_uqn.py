@@ -253,13 +253,13 @@ def test_coproduct_coassociative():
     direct = coproduct_components(d, parts3)
     first = coproduct_components(d, (a2, a1 + a3 + a2))
     nested = {}
-    for (w1, w2), c in first.terms.items():
+    for (w1, w2), c in first.items():
         inner = coproduct_components(
             ShuffleElement(A3, a1 + a3 + a2, {w2: ONE}), (a1 + a3, a2))
-        for (u1, u2), c2 in inner.terms.items():
+        for (u1, u2), c2 in inner.items():
             key = (w1, u1, u2)
             nested[key] = nested.get(key, ZERO) + c * c2
-    assert {k: v for k, v in nested.items() if v} == direct.terms
+    assert {k: v for k, v in nested.items() if v} == direct
 
 
 def test_skew_derivative_right():

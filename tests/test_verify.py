@@ -42,7 +42,6 @@ from qfold.verify import (
     oracle_seed_data,
     realized_exchange_graph,
     resolve_input,
-    run_catalog,
     run_check,
 )
 
@@ -260,6 +259,12 @@ def test_cluster_monomials_a2():
     # The details count (seed, exponent) pairs, repeats included.
     r = check_cluster_monomials(A2_INPUT, (1, 2, 1))
     assert r.passed and r.details == "18 monomials over 2 seeds"
+    # Total degree is capped at 2 and squares are always added, so every
+    # max_exponent >= 1 checks one set; 0 checks the squares alone.
+    for max_exponent, details in [(2, r.details),
+                                  (0, "6 monomials over 2 seeds")]:
+        again = check_cluster_monomials(A2_INPUT, (1, 2, 1), max_exponent)
+        assert again.passed and again.details == details
 
 
 def test_cluster_monomials_c2():
@@ -326,6 +331,38 @@ def test_word_independence_rejects_distinct_elements():
     assert not r.passed
 
 
+def test_word_independence_reports_the_variables_that_differ(monkeypatch):
+    # Only the initial seed is kept of the graphs of the second words, so
+    # the A2 graph of (2, 1, 2) lacks the mutated variable theta*_1.
+    graph = verify.realized_exchange_graph
+    trimmed = {(2, 1, 2), (2, 1, 2, 1)}
+    monkeypatch.setattr(
+        verify, "realized_exchange_graph",
+        lambda datum, word, quiver, bound:
+            graph(datum, word, quiver, bound)[:1 if word in trimmed else None])
+    r = check_word_independence(A2_INPUT, (1, 2, 1), (2, 1, 2))
+    assert r.to_json() == {
+        "check": "word_independence",
+        "instance": {"check": "word_independence", "input": A2_INPUT,
+                     "words": [[1, 2, 1], [2, 1, 2]], "bound": 200},
+        "passed": False, "status": "fail",
+        "details": "variable sets differ",
+        "witness": {"only_first": [{"weight": [1, 0],
+                                    "terms": [{"word": [1], "coeff": "1"}]}],
+                    "only_second": []}}
+    # Four variables of the C2 graph are missing; the witness lists them
+    # in the order of their sorted JSON.
+    r = check_word_independence(C2_QUIVER, (1, 2, 1, 2), (2, 1, 2, 1))
+    assert r.details == "variable sets differ"
+    assert r.witness == {"only_first": [
+        {"weight": [1, 1], "terms": [{"word": [[1, 3], [2]], "coeff": "1"}]},
+        {"weight": [1, 0], "terms": [{"word": [[1, 3]], "coeff": "1"}]},
+        {"weight": [1, 1], "terms": [{"word": [[2], [1, 3]], "coeff": "1"}]},
+        {"weight": [1, 2], "terms": [{"word": [[2], [2], [1, 3]],
+                                      "coeff": "q + q^-1"}]}],
+        "only_second": []}
+
+
 @pytest.mark.parametrize("input_spec, word, slow", REALIZED_GRAPHS)
 def test_realized_variables_qcommute_by_seed_lambda(input_spec, word, slow,
                                                     slow_enabled):
@@ -384,14 +421,14 @@ def test_realized_exchange_graph_bound():
 
 
 def test_fast_catalog_all_pass():
-    reports = run_catalog(load_catalog("catalog_fast.json"))
+    reports = [run_check(e) for e in load_catalog("catalog_fast.json")]
     assert reports, "catalog must not be empty"
     for r in reports:
         assert r.passed, (r.check, r.details)
 
 
 def test_reports_are_replayable():
-    reports = run_catalog(load_catalog("catalog_fast.json"))
+    reports = [run_check(e) for e in load_catalog("catalog_fast.json")]
     for r in reports[:6]:
         entry = dict(r.instance)
         again = run_check(entry)

@@ -3,7 +3,9 @@
 Every invocation reads one self-describing JSON config (--config) and
 dispatches a single command; flags only toggle catalogs and output formats,
 so identical configs produce byte-identical outputs.  Exit codes: 0 ok,
-1 verification failure, 2 input error.
+1 verification failure, 2 input error.  --max-steps, the seed bound of
+enumerate and of verify's graph-walking checks, must be at least 1; a
+smaller value is an input error.
 """
 
 from __future__ import annotations
@@ -267,13 +269,17 @@ def build_parser():
     parser.add_argument("--slow", action="store_true",
                         help="include the slow verification catalog")
     parser.add_argument("--max-steps", type=int, default=1000,
-                        help="bound for enumeration and graph-walking checks")
+                        help="bound for enumeration and graph-walking "
+                             "checks (at least 1)")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.max_steps < 1:
+            raise InputError("--max-steps must be at least 1, got %d"
+                             % args.max_steps)
         config = _load_config(args.config)
         return COMMANDS[args.command](config, args)
     except InputError as exc:

@@ -19,7 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from operator import mul
+from itertools import compress, count
+from operator import add, mul, neg
 
 from .laurent import (
     ONE,
@@ -62,10 +63,9 @@ class CompatiblePair:
             raise ValueError("B shape does not match labels/exchangeables")
         if any(x not in self.labels for x in self.exchangeable):
             raise ValueError("exchangeable labels outside S")
-        for r, row in enumerate(self.lam):
-            for c in range(r, m):
-                if row[c] != -self.lam[c][r]:
-                    raise ValueError("Lambda is not skew-symmetric")
+        if self.lam != tuple(tuple(map(neg, column))
+                             for column in zip(*self.lam)):
+            raise ValueError("Lambda is not skew-symmetric")
 
     def pos(self, label):
         return self.labels.index(label)
@@ -129,6 +129,9 @@ def mutate_pair(pair: CompatiblePair, k) -> CompatiblePair:
     bk = pair.b[kp]
     b = []
     for i, (row, bik) in enumerate(zip(pair.b, column)):
+        if bik == 0 and i != kp:
+            b.append(row)  # b_ik = 0 leaves row i as it is
+            continue
         b.append([-bij if i == kp or c == kc else
                   bij + (abs(bik) * bkj + bik * abs(bkj)) // 2
                   for c, (bij, bkj) in enumerate(zip(row, bk))])
@@ -139,11 +142,17 @@ def mutated_lambda_row(pair: CompatiblePair, k) -> list:
     """Row k of Lambda mutated in direction k (see mutate_pair)."""
     kp = pair.pos(k)
     kc = pair.ex_pos(k)
-    positive = [(b[kc], row) for b, row in zip(pair.b, pair.lam) if b[kc] > 0]
-    new_row = [sum((bik * row[t] for bik, row in positive), -value)
-               for t, value in enumerate(pair.lam[kp])]
+    new_row = map(neg, pair.lam[kp])
+    for b, row in zip(pair.b, pair.lam):
+        if b[kc] > 0:
+            new_row = map(add, new_row, _scaled(b[kc], row))
+    new_row = list(new_row)
     new_row[kp] = 0
     return new_row
+
+
+def _scaled(factor, vector):
+    return vector if factor == 1 else [factor * x for x in vector]
 
 
 # ---------------------------------------------------------------------------
@@ -382,8 +391,9 @@ class QuantumSeed:
                                            for r, s in enumerate(ex)})
             object.__setattr__(self, "table", {
                 g[s]: (self.degrees[s], self.variables[s]) for s in labels})
-        for s, row in zip(labels, self.pair.lam):
-            check_parity_row(labels, s, row, self.degrees)
+        forms = gram_matrix(self.degrees[s] for s in labels)
+        for r, (row, form_row) in enumerate(zip(self.pair.lam, forms)):
+            _scan_parity(labels, r, row, form_row)
 
     def lambda_from_variables(self):
         """Recompute the q-commutation matrix of the stored variables."""
@@ -406,13 +416,23 @@ def check_parity_row(labels, k, row, degrees):
     lambda_kt and (d_k, d_t) differ mod 2, named as in the upper triangle.
     Lambda is skew and the form symmetric, so the rows in label order scan
     the upper triangle in order: row k revisits only entries rows before
-    it passed."""
-    r = labels.index(k)
-    forms = gram_row(degrees[k], [degrees[t] for t in labels])
-    for c, (t, value, form) in enumerate(zip(labels, row, forms)):
-        if (value - form) % 2:
-            raise ParityError("lambda(%r,%r) and (d,d) parity mismatch"
-                              % ((t, k) if c < r else (k, t)))
+    it passed.  The constructor's full check scans every row this way."""
+    _scan_parity(labels, labels.index(k), row,
+                 gram_row(degrees[k], [degrees[t] for t in labels]))
+
+
+def _scan_parity(labels, r, row, forms):
+    """check_parity_row on row r of Lambda against row r of the Gram
+    matrix of the degrees."""
+    c = next(compress(count(), map(_odd_difference, row, forms)), None)
+    if c is not None:
+        k, t = labels[r], labels[c]
+        raise ParityError("lambda(%r,%r) and (d,d) parity mismatch"
+                          % ((t, k) if c < r else (k, t)))
+
+
+def _odd_difference(a, b):
+    return (a - b) % 2
 
 
 def _unit_vector(size, r):
@@ -483,9 +503,12 @@ def exchange_monomials(pair: CompatiblePair, k):
     if k not in e:
         raise KeyError("direction %r is frozen" % (k,))
     kc = pair.ex_pos(k)
-    column = {t: row[kc] for t, row in zip(pair.labels, pair.b)}
-    return ({t: max(b, 0) for t, b in column.items()},
-            {t: max(-b, 0) for t, b in column.items()}, e[k])
+    a_plus, a_minus = {}, {}
+    for t, row in zip(pair.labels, pair.b):
+        b = row[kc]
+        a_plus[t] = b if b > 0 else 0
+        a_minus[t] = -b if b < 0 else 0
+    return a_plus, a_minus, e[k]
 
 
 def exchange_rhs(seed: QuantumSeed, k):
@@ -535,19 +558,19 @@ def tropical_mutation(seed: QuantumSeed, k):
         raise CompatibilityError("c-vector of %r is not sign-coherent" % (k,))
     eps = 1 if max(ck) > 0 else -1
     kc = pair.ex_pos(k)
-    gk = [-x for x in seed.g[k]]
+    gk = map(neg, seed.g[k])
     for s, row in zip(pair.labels, pair.b):
-        weight = max(-eps * row[kc], 0)
-        if weight:
-            gk = [x + weight * y for x, y in zip(gk, seed.g[s])]
+        weight = -eps * row[kc]
+        if weight > 0:
+            gk = map(add, gk, _scaled(weight, seed.g[s]))
     g = dict(seed.g)
     g[k] = tuple(gk)
     c = dict(seed.c)
-    c[k] = tuple(-x for x in ck)
+    c[k] = tuple(map(neg, ck))
     for j, bkj in zip(pair.exchangeable, pair.b[pair.pos(k)]):
-        weight = max(eps * bkj, 0)
-        if weight and j != k:
-            c[j] = tuple(x + weight * y for x, y in zip(seed.c[j], ck))
+        weight = eps * bkj
+        if weight > 0 and j != k:
+            c[j] = tuple(map(add, seed.c[j], _scaled(weight, ck)))
     return g, c
 
 
@@ -565,8 +588,11 @@ def mutation_step(seed: QuantumSeed, k):
     a_plus, _, _ = exchange_monomials(seed.pair, k)
     row = mutated_lambda_row(seed.pair, k)
     degrees = dict(seed.degrees)
-    degrees[k] = sum((a * seed.degrees[t] for t, a in a_plus.items() if a),
-                     -seed.degrees[k])
+    degree = map(neg, seed.degrees[k].coords)
+    for t, a in a_plus.items():
+        if a:
+            degree = map(add, degree, _scaled(a, seed.degrees[t].coords))
+    degrees[k] = Root(seed.degrees[k].datum, tuple(degree))
     g, c = tropical_mutation(seed, k)
     entry = seed.table.get(g[k])
     if entry is None:

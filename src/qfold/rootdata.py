@@ -22,6 +22,9 @@ class CartanDatum:
     indices is an ordered tuple of hashable labels; cartan[r][c] is the
     entry a_{ij} for i = indices[r], j = indices[c]; symmetrizers[r] is
     the positive integer d_i.  The pairing is (alpha_i, alpha_j) = d_i a_ij.
+    The symmetrized rows d_i a_ij are computed once, and the pairing image
+    of each root once per datum object (pairing_image); neither takes part
+    in == or the hash.
     """
 
     indices: tuple
@@ -55,6 +58,10 @@ class CartanDatum:
                 if (self.symmetrizers[r] * self.cartan[r][c]
                         != self.symmetrizers[c] * self.cartan[c][r]):
                     raise ValueError("matrix is not symmetrizable by the given d")
+        object.__setattr__(self, "_symmetrized", tuple(
+            tuple(d * a for a in row)
+            for d, row in zip(self.symmetrizers, self.cartan)))
+        object.__setattr__(self, "_images", {})
 
     @property
     def rank(self) -> int:
@@ -84,6 +91,17 @@ class CartanDatum:
 
     def root(self, coords) -> "Root":
         return Root(self, tuple(map(exact_int, coords)))
+
+    def pairing_image(self, coords) -> tuple:
+        """((alpha_i, u) for i in indices) = (d_i sum_j a_ij u_j) for the
+        root u with these simple-root coordinates, memoized by them."""
+        image = self._images.get(coords)
+        if image is None:
+            image = self._images[coords] = self._image(coords)
+        return image
+
+    def _image(self, coords):
+        return tuple(sum(map(mul, row, coords)) for row in self._symmetrized)
 
 
 def cartan_datum(family: str, rank: int) -> CartanDatum:
@@ -306,22 +324,31 @@ def bilinear_form(u, v):
 
 def gram_row(u, roots) -> list:
     """[bilinear_form(u, v) for v in roots] for Roots over one Cartan datum:
-    u is sent once to its pairings (alpha_i, u) = d_i sum_j a_ij u_j, and
-    then every entry is a coordinate dot product."""
+    after one type check, every entry is the dot product of v with the
+    pairing image of u."""
     roots = list(roots)
-    datum = u.datum
-    if any(type(v) is not Root or v.datum is not datum and v.datum != datum
-           for v in [u] + roots):
-        raise TypeError("gram_row takes Roots over one Cartan datum")
-    image = tuple(d * sum(map(mul, row, u.coords))
-                  for d, row in zip(datum.symmetrizers, datum.cartan))
+    _check_roots(u.datum, [u] + roots)
+    image = u.datum.pairing_image(u.coords)
     return [sum(map(mul, v.coords, image)) for v in roots]
 
 
 def gram_matrix(roots) -> list:
-    """[gram_row(u, roots) for u in roots]."""
+    """[gram_row(u, roots) for u in roots], with one type check and each
+    root's pairing image taken once."""
     roots = list(roots)
-    return [gram_row(u, roots) for u in roots]
+    if not roots:
+        return []
+    datum = roots[0].datum
+    _check_roots(datum, roots)
+    coords = [v.coords for v in roots]
+    return [[sum(map(mul, v, image)) for v in coords]
+            for image in map(datum.pairing_image, coords)]
+
+
+def _check_roots(datum, roots):
+    for v in roots:
+        if type(v) is not Root or v.datum is not datum and v.datum != datum:
+            raise TypeError("gram_row takes Roots over one Cartan datum")
 
 
 def extremal_exponents(lam: Weight, word):

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from qfold import uqn
+from qfold import rootdata, uqn
 from qfold.cli import main
 
 A3_QUIVER_CONFIG = {
@@ -160,6 +160,46 @@ def test_enumerate_command(tmp_path, capsys):
     assert data["seeds"] == 2
     assert data["complete"] is True
     assert len(data["cluster_variables"]) == 4
+    code, out, _ = _run(capsys, ["enumerate", "--max-steps", "1",
+                                 "--config", path])
+    assert code == 0
+    assert json.loads(out)["seeds"] == 1
+
+
+@pytest.mark.parametrize("command", ["enumerate", "verify"])
+@pytest.mark.parametrize("bound", ["0", "-3"])
+def test_max_steps_below_one_is_input_error(tmp_path, capsys, command,
+                                            bound):
+    path = _write(tmp_path, {"input": {"type": ["A", 2]}, "word": [1, 2, 1]})
+    code, out, err = _run(capsys, [command, "--max-steps", bound,
+                                   "--config", path])
+    assert (code, out) == (2, "")
+    assert err == "input error: --max-steps must be at least 1, got %s\n" \
+        % bound
+
+
+def test_runs_share_no_pairing_images(tmp_path, capsys, monkeypatch):
+    # Each run pairs roots over the Cartan data it builds itself, whose
+    # memos of pairing images start empty: a second run of the same job
+    # computes as many images as the first.
+    computed = []
+    image = rootdata.CartanDatum._image
+
+    def counted(datum, coords):
+        computed.append(coords)
+        return image(datum, coords)
+
+    monkeypatch.setattr(rootdata.CartanDatum, "_image", counted)
+    path = _write(tmp_path, {"input": {"type": ["A", 3]},
+                             "word": [1, 2, 1, 3, 2, 1]})
+    counts = []
+    for _ in range(2):
+        computed.clear()
+        code, out, _ = _run(capsys, ["enumerate", "--config", path])
+        assert code == 0
+        counts.append(len(computed))
+    assert counts[0] == counts[1] > 0
+    assert len(set(computed)) == counts[1]
 
 
 def test_enumerate_stays_out_of_the_oracle(tmp_path, capsys, monkeypatch):

@@ -4,7 +4,8 @@
 command on three inputs (A2, A3 and C2 folded from A3), plus `verify`
 on the fast catalog, on both catalogs, on both with `--max-steps 5`, on
 one `cluster_monomials` check over the A3 w0 exchange graph, and on one
-inline list of checks that each fail.
+inline list of checks that each fail; and `enumerate` with a `--max-steps`
+below 1, an input error.
 Regenerate it only for an intended output change:
 
     PYTHONPATH=src python3 tests/test_cli_golden.py
@@ -63,6 +64,8 @@ def cases():
         {"check": "exchange_relation", "input": a2, "word": [1, 2, 1],
          "direction": 3},
         {"check": "no_such_check", "input": a2}]})
+    out["A2/enumerate --max-steps 0"] = (
+        ["enumerate", "--max-steps", "0"], INPUTS["A2"])
     return out
 
 

@@ -76,6 +76,29 @@ def test_check_compatible():
     assert err.value.entry == (1, 1)
 
 
+@pytest.mark.parametrize("labels, exchangeable, lam, b, message", [
+    ((1, 2, 3), (1,), ((0, 1, -1), (-1, 2, 0), (1, 0, 0)),
+     ((0,), (-1,), (1,)), "Lambda is not skew-symmetric"),
+    ((1, 2, 3), (1,), ((0, 1, -1), (-1, 0, 0), (2, 0, 0)),
+     ((0,), (-1,), (1,)), "Lambda is not skew-symmetric"),
+    ((1, 2, 3), (1,), ((0, 1, -1), (-1, 0, 0)),
+     ((0,), (-1,), (1,)), "Lambda shape does not match labels"),
+    ((1, 2, 3), (1,), ((0, 1, -1), (-1, 0), (1, 0, 0)),
+     ((0,), (-1,), (1,)), "Lambda shape does not match labels"),
+    ((1, 2, 3), (1,), ((0, 1, -1), (-1, 0, 0), (1, 0, 0)),
+     ((0,), (-1, 0), (1,)), "B shape does not match labels/exchangeables"),
+    ((1, 2, 3), (1,), ((0, 1, -1), (-1, 0, 0), (1, 0, 0)),
+     ((0,), (-1,)), "B shape does not match labels/exchangeables"),
+    ((1, 2, 3), (4,), ((0, 1, -1), (-1, 0, 0), (1, 0, 0)),
+     ((0,), (-1,), (1,)), "exchangeable labels outside S"),
+], ids=["diagonal", "off-diagonal", "lambda rows", "lambda row length",
+        "b row length", "b rows", "exchangeable"])
+def test_compatible_pair_validation(labels, exchangeable, lam, b, message):
+    # Each case is a2_pair() with one defect.
+    with pytest.raises(ValueError, match="^%s$" % message):
+        CompatiblePair(labels, exchangeable, lam, b)
+
+
 def test_mutate_pair_rank2_involutive():
     pair = CompatiblePair((1, 2), (1, 2),
                           ((0, 1), (-1, 0)),

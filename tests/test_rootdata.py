@@ -17,6 +17,7 @@ from qfold.rootdata import (
     dominance_leq,
     extremal_exponents,
     gram_matrix,
+    gram_row,
     inversion_roots,
     is_finite_type,
     is_reduced,
@@ -152,6 +153,27 @@ def test_gram_matrix_is_the_bilinear_form():
         gram_matrix([A2.simple_root(1), A3.simple_root(1)])
     with pytest.raises(TypeError):
         gram_matrix([A2.simple_root(1), A2.fundamental_weight(1)])
+
+
+def test_pairing_images_over_equal_data():
+    # A datum memoizes pairing images on its own object.  A root over an
+    # equal but distinct datum pairs as over the datum itself, in either
+    # position; a root over another datum is still refused.
+    g2 = cartan_datum("G", 2)
+    twin = cartan_datum("G", 2)
+    assert twin == g2 and twin is not g2
+    u, v = g2.root((2, -1)), twin.root((1, 3))
+    expected = sum(u.coords[r] * v.coords[c] * g2.symmetrizers[r]
+                   * g2.cartan[r][c] for r in range(2) for c in range(2))
+    assert gram_row(u, [v, u]) == [expected, bilinear_form(u, u)]
+    assert gram_row(v, [u]) == [expected]
+    assert bilinear_form(u, v) == bilinear_form(v, u) == expected
+    assert gram_matrix([u, v]) \
+        == [[bilinear_form(u, u), expected], [expected, bilinear_form(v, v)]]
+    with pytest.raises(TypeError):
+        gram_row(u, [C2.root((1, 3))])
+    with pytest.raises(TypeError):
+        gram_row(C2.root((1, 3)), [u])
 
 
 def test_extremal_exponents():

@@ -225,16 +225,20 @@ def cmd_enumerate(config, args):
 
 
 def cmd_verify(config, args):
+    """Run the config's checks, or the fast (and with --slow the slow)
+    catalog: one report line each, then the summary.  The checks share one
+    OracleContext per Cartan datum, made for this call only."""
     entries = config.get("checks")
     if entries is None:
         entries = verify_mod.load_catalog("catalog_fast.json")
         if args.slow:
             entries = entries + verify_mod.load_catalog("catalog_slow.json")
     reports = []
+    contexts = {}
     for entry in entries:
         entry = verify_mod.bounded_entry(entry, args.max_steps)
         try:
-            report = verify_mod.run_check(entry)
+            report = verify_mod.run_check(entry, contexts)
         except Exception as exc:  # surface as a failing report, CI-friendly
             report = verify_mod.VerificationReport(
                 entry.get("check", "?"), entry, "fail", "error: %s" % exc)

@@ -7,9 +7,9 @@ on a highest weight vector, pairings are evaluated by commuting E's past
 F's, and generalized minors are realized concretely as elements of the
 quantum shuffle algebra (finite sums of words with Laurent coefficients).
 
-Everything is exact.  The Shapovalov recursion is memoized inside an
-OracleContext; contexts are not thread-safe and should be confined to one
-thread or shared read-only after warm-up.
+Everything is exact.  The Shapovalov recursion and the realized minors
+are memoized inside an OracleContext; contexts are not thread-safe and
+should be confined to one thread or shared read-only after warm-up.
 """
 
 from __future__ import annotations
@@ -55,12 +55,15 @@ class FWord:
 
 
 class OracleContext:
-    """Memo tables for the Shapovalov engine, one per Cartan datum."""
+    """Memo tables for the Shapovalov engine and the realized minors (by
+    MinorSpec), one per Cartan datum.  A verify call makes one per datum
+    and shares it across its checks; nothing outlives the call."""
 
     def __init__(self, datum):
         self.datum = datum
         self._e_apply = {}
         self._pair = {}
+        self._minors = {}
 
     # -- E-action on F-words -------------------------------------------
 
@@ -494,35 +497,36 @@ def shuffle_divide_left(a: ShuffleElement, c: ShuffleElement) -> ShuffleElement:
 
 
 def _solve_laurent_system(matrix, ncols):
-    """Fraction-free Gaussian elimination for M z = rhs over the Laurent ring.
+    """Fraction-free (Bareiss) elimination for M z = rhs over the Laurent ring.
 
     matrix rows carry the rhs as their last entry.  Returns the solution
-    list or None when inconsistent/underdetermined; divisions that fail to
-    be exact also mean no Laurent solution and surface as None.
+    list, or None when inconsistent, underdetermined or not Laurent (a
+    back-substitution division that is not exact).  Each update (p*x -
+    a*y) / prev is exact by Sylvester's identity over a domain, so zero
+    products are skipped: with x and a*y zero the entry stays zero.
     """
     rows = [list(r) for r in matrix]
     nrows = len(rows)
     prev_pivot = ONE
-    pivot_rows = []
-    r = 0
     for col in range(ncols):
-        piv = next((i for i in range(r, nrows) if rows[i][col]), None)
+        piv = next((i for i in range(col, nrows) if rows[i][col]), None)
         if piv is None:
             return None
-        rows[r], rows[piv] = rows[piv], rows[r]
-        for i in range(r + 1, nrows):
+        rows[col], rows[piv] = rows[piv], rows[col]
+        pivot_row = rows[col]
+        p = pivot_row[col]
+        for row in rows[col + 1:]:
+            a = row[col]
             for j in range(col + 1, ncols + 1):
-                value = rows[r][col] * rows[i][j] - rows[i][col] * rows[r][j]
-                try:
-                    rows[i][j] = value.divexact(prev_pivot)
-                except LaurentDivisionError:
-                    return None
-            rows[i][col] = ZERO
-        prev_pivot = rows[r][col]
-        pivot_rows.append(r)
-        r += 1
-    for i in range(r, nrows):
-        if rows[i][ncols]:
+                x, y = row[j], pivot_row[j]
+                if a and y:
+                    row[j] = (p * x - a * y).divexact(prev_pivot)
+                elif x:
+                    row[j] = (p * x).divexact(prev_pivot)
+            row[col] = ZERO
+        prev_pivot = p
+    for row in rows[ncols:]:
+        if row[ncols]:
             return None
     solution = [ZERO] * ncols
     for back in range(ncols - 1, -1, -1):
@@ -575,11 +579,21 @@ def minor_to_shuffle(spec: MinorSpec, context: OracleContext | None = None) -> S
     The coefficient on a word [i1, ..., in] is (theta_{i1}...theta_{in} v_mu,
     v_eta), the letters acting as E's with the rightmost letter first.  For
     mu not <= eta the minor vanishes; the zero element is returned with a
-    warning note instead of an error.
+    warning note instead of an error.  The context realizes each spec once.
     """
     datum = spec.lam.datum
     if context is None:
         context = OracleContext(datum)
+    elif context.datum != datum:
+        raise ValueError("context belongs to a different Cartan datum")
+    element = context._minors.get(spec)
+    if element is None:
+        element = context._minors[spec] = _realize_minor(spec, context)
+    return element
+
+
+def _realize_minor(spec: MinorSpec, context: OracleContext) -> ShuffleElement:
+    datum = spec.lam.datum
     mu, eta = spec.mu, spec.eta
     if not dominance_leq(mu, eta):
         zero_w = Root(datum, (0,) * datum.rank)

@@ -101,6 +101,17 @@ def resolve_input(spec: dict):
                      "Cartan datum")
 
 
+def oracle_context(datum, contexts=None) -> OracleContext:
+    """The oracle context of datum in contexts, a map from Cartan datum to
+    OracleContext that one verify call shares across its checks, made
+    there on first use; a fresh context when contexts is None."""
+    if contexts is None:
+        return OracleContext(datum)
+    if datum not in contexts:
+        contexts[datum] = OracleContext(datum)
+    return contexts[datum]
+
+
 def oracle_seed_data(datum, word, quiver=None, context=None) -> QuantumSeed:
     """The initial quantum seed of initial_pair realized by the oracle: its
     variables are the initial minors as shuffle elements and its unit the
@@ -118,13 +129,15 @@ def oracle_seed_data(datum, word, quiver=None, context=None) -> QuantumSeed:
 # ---------------------------------------------------------------------------
 
 
-def check_initial_lambda(input_spec, word) -> VerificationReport:
+def check_initial_lambda(input_spec, word, contexts=None) \
+        -> VerificationReport:
     """The initial minors q-commute exactly as initial_pair's Lambda says,
     and that Lambda is compatible with the B of the same word."""
     instance = {"check": "initial_lambda", "input": input_spec,
                 "word": list(word)}
     datum, quiver = resolve_input(input_spec)
-    seed = oracle_seed_data(datum, word, quiver)
+    seed = oracle_seed_data(datum, word, quiver,
+                            oracle_context(datum, contexts))
     pair = seed.pair
     for a, s in enumerate(pair.labels):
         for t in pair.labels[a + 1:]:
@@ -155,13 +168,14 @@ def normalized_shuffle_monomial(a, seed: QuantumSeed) -> ShuffleElement:
     return normalized_monomial(a, seed)
 
 
-def check_exchange_relation(input_spec, word, direction) -> VerificationReport:
+def check_exchange_relation(input_spec, word, direction, contexts=None) \
+        -> VerificationReport:
     """The quantum exchange relation holds as an identity of shuffle
     elements after one mutation of the initial seed."""
     instance = {"check": "exchange_relation", "input": input_spec,
                 "word": list(word), "direction": direction}
     datum, quiver = resolve_input(input_spec)
-    context = OracleContext(datum)
+    context = oracle_context(datum, contexts)
     seed = oracle_seed_data(datum, word, quiver, context)
     k = direction
     try:
@@ -224,7 +238,8 @@ def _name_among_minors(datum, element, context):
     return None
 
 
-def check_square_identity(input_spec, fundamental, word_mu) -> VerificationReport:
+def check_square_identity(input_spec, fundamental, word_mu, contexts=None) \
+        -> VerificationReport:
     """Minor squaring: D(mu,zeta)^2 = q^{-(mu-zeta,mu-zeta)/2} D(2mu,2zeta).
 
     The printed statement carries the opposite exponent sign; the sign used
@@ -234,7 +249,7 @@ def check_square_identity(input_spec, fundamental, word_mu) -> VerificationRepor
     instance = {"check": "square_identity", "input": input_spec,
                 "fundamental": fundamental, "word_mu": list(word_mu)}
     datum, quiver = resolve_input(input_spec)
-    context = OracleContext(datum)
+    context = oracle_context(datum, contexts)
     word_mu = resolve_word(datum, word_mu, quiver)
     fundamental = resolve_word(datum, (fundamental,), quiver)[0]
     lam = datum.fundamental_weight(fundamental)
@@ -252,8 +267,8 @@ def check_square_identity(input_spec, fundamental, word_mu) -> VerificationRepor
         "sides differ", {"difference": shuffle_to_json(diff)})
 
 
-def check_restriction_factorization(input_spec, fundamental, chain_words) \
-        -> VerificationReport:
+def check_restriction_factorization(input_spec, fundamental, chain_words,
+                                    contexts=None) -> VerificationReport:
     """Coproduct factorization across a dominance chain of extremal weights.
 
     chain_words lists reduced words for mu_1 < mu_2 < ... < mu_{n+1}
@@ -263,7 +278,7 @@ def check_restriction_factorization(input_spec, fundamental, chain_words) \
                 "fundamental": fundamental,
                 "chain_words": [list(w) for w in chain_words]}
     datum, quiver = resolve_input(input_spec)
-    context = OracleContext(datum)
+    context = oracle_context(datum, contexts)
     fundamental = resolve_word(datum, (fundamental,), quiver)[0]
     words = [resolve_word(datum, w, quiver) for w in chain_words]
     lam = datum.fundamental_weight(fundamental)
@@ -324,20 +339,21 @@ def check_dual_canonical_conditions(element: ShuffleElement) \
                               "extremal word " + ",".join(str(x) for x in word))
 
 
-def realized_exchange_graph(datum, word, quiver=None, bound=200) -> list:
+def realized_exchange_graph(datum, word, quiver=None, bound=200,
+                            context=None) -> list:
     """The seeds of the exchange graph of oracle_seed_data's seed, in
     enumerate_exchange_graph's order: its cluster variables are shuffle
     elements, each computed once by the exchange step mutated_variable.
     Raises RuntimeError when the graph has more than `bound` seeds."""
-    graph = enumerate_exchange_graph(oracle_seed_data(datum, word, quiver),
-                                     bound)
+    graph = enumerate_exchange_graph(
+        oracle_seed_data(datum, word, quiver, context), bound)
     if not graph.complete:
         raise RuntimeError("exchange graph exceeded bound")
     return graph.seeds
 
 
-def check_word_independence(input_spec, word1, word2, bound=200) \
-        -> VerificationReport:
+def check_word_independence(input_spec, word1, word2, bound=200,
+                            contexts=None) -> VerificationReport:
     """Two reduced words for the same element yield identical sets of
     cluster variables, compared as shuffle elements."""
     instance = {"check": "word_independence", "input": input_spec,
@@ -351,8 +367,10 @@ def check_word_independence(input_spec, word1, word2, bound=200) \
     if not weyl_equal(datum, w1, w2):
         return VerificationReport("word_independence", instance, "fail",
                                   "words give different elements")
+    context = oracle_context(datum, contexts)
     first, second = (
-        {el for seed in realized_exchange_graph(datum, w, quiver, bound)
+        {el for seed in realized_exchange_graph(datum, w, quiver, bound,
+                                                context)
          for el in seed.variables.values()}
         for w in (word1, word2))
     if first == second:
@@ -372,7 +390,7 @@ def _sorted_json(elements) -> list:
                   key=lambda x: json.dumps(x, sort_keys=True))
 
 
-def check_cluster_monomials(input_spec, word, max_exponent=1) \
+def check_cluster_monomials(input_spec, word, max_exponent=1, contexts=None) \
         -> VerificationReport:
     """Every cluster monomial from the full exchange graph passes the
     dual-canonical-type shadow conditions: exponents up to max_exponent of
@@ -393,7 +411,8 @@ def check_cluster_monomials(input_spec, word, max_exponent=1) \
     instance = {"check": "cluster_monomials", "input": input_spec,
                 "word": list(word), "max_exponent": max_exponent}
     datum, quiver = resolve_input(input_spec)
-    seeds = realized_exchange_graph(datum, word, quiver)
+    seeds = realized_exchange_graph(datum, word, quiver, 200,
+                                    oracle_context(datum, contexts))
     passed = set()
     tested = 0
     for seed in seeds:
@@ -428,14 +447,13 @@ def check_cluster_monomials(input_spec, word, max_exponent=1) \
                               % (tested, len(seeds)))
 
 
-def check_negative_control() -> VerificationReport:
+def check_negative_control(contexts=None) -> VerificationReport:
     """A deliberately perturbed element must fail the dual-canonical check
     (guards against vacuous passes)."""
     instance = {"check": "negative_control"}
     datum = cartan_datum("A", 2)
-    context = OracleContext(datum)
     d = minor_to_shuffle(MinorSpec(datum.fundamental_weight(2), (1, 2)),
-                         context)
+                         oracle_context(datum, contexts))
     bad = d.scale(LaurentScalar.q_power(1))
     report = check_dual_canonical_conditions(bad)
     if report.passed:
@@ -455,28 +473,31 @@ def load_catalog(name: str) -> list:
     return json.loads(text)["checks"]
 
 
-def run_check(entry: dict) -> VerificationReport:
+def run_check(entry: dict, contexts=None) -> VerificationReport:
+    """Run one catalog entry, on the oracle contexts of one verify call
+    (see oracle_context); without them the check makes its own."""
     kind = entry["check"]
     if kind == "initial_lambda":
-        return check_initial_lambda(entry["input"], entry["word"])
+        return check_initial_lambda(entry["input"], entry["word"], contexts)
     if kind == "exchange_relation":
         return check_exchange_relation(entry["input"], entry["word"],
-                                       entry["direction"])
+                                       entry["direction"], contexts)
     if kind == "square_identity":
         return check_square_identity(entry["input"], entry["fundamental"],
-                                     entry["word_mu"])
+                                     entry["word_mu"], contexts)
     if kind == "restriction_factorization":
         return check_restriction_factorization(
-            entry["input"], entry["fundamental"], entry["chain_words"])
+            entry["input"], entry["fundamental"], entry["chain_words"],
+            contexts)
     if kind == "cluster_monomials":
         return check_cluster_monomials(entry["input"], entry["word"],
-                                       entry.get("max_exponent", 1))
+                                       entry.get("max_exponent", 1), contexts)
     if kind == "word_independence":
         return check_word_independence(entry["input"], entry["words"][0],
                                        entry["words"][1],
-                                       entry.get("bound", 200))
+                                       entry.get("bound", 200), contexts)
     if kind == "negative_control":
-        return check_negative_control()
+        return check_negative_control(contexts)
     raise ValueError("unknown check kind %r" % kind)
 
 

@@ -202,6 +202,37 @@ def test_runs_share_no_pairing_images(tmp_path, capsys, monkeypatch):
     assert len(set(computed)) == counts[1]
 
 
+def test_verify_runs_share_no_oracle(capsys, monkeypatch):
+    # A verify run makes one oracle context per Cartan datum (A1, A2, A3
+    # and C2 folded from A3), shares it across its checks and drops it at
+    # the end: no minor is realized twice within a run, and a second run
+    # realizes as many minors as the first.
+    realized, made = [], []
+    realize = uqn._realize_minor
+    init = uqn.OracleContext.__init__
+
+    def counted_realize(spec, context):
+        realized.append(spec)
+        return realize(spec, context)
+
+    def counted_init(context, datum):
+        made.append(datum)
+        init(context, datum)
+
+    monkeypatch.setattr(uqn, "_realize_minor", counted_realize)
+    monkeypatch.setattr(uqn.OracleContext, "__init__", counted_init)
+    counts = []
+    for _ in range(2):
+        realized.clear()
+        made.clear()
+        code, _, _ = _run(capsys, ["verify", "--slow"])
+        assert code == 0
+        assert len(set(realized)) == len(realized) > 0
+        assert len(set(made)) == len(made) == 4
+        counts.append(len(realized))
+    assert counts[0] == counts[1]
+
+
 def test_enumerate_stays_out_of_the_oracle(tmp_path, capsys, monkeypatch):
     # The torus seed comes from the word alone: no oracle context is made
     # and no shuffle element is built.

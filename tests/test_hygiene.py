@@ -1,9 +1,10 @@
 """Source hygiene: no module imports a name it never uses, the exact
 arithmetic modules use no true division and no float literal, the cluster
-calculus keeps to its layer, every function the benchmark's traced run
-wraps still exists, and the CLI's config schema is a valid schema.
+calculus keeps to its layer, no module keeps a cache or a container that
+outlives a call, every function the benchmark's traced run wraps still
+exists, and the CLI's config schema is a valid schema.
 
-The first three are AST scans.  The import scan covers src/qfold, tests and
+The first four are AST scans.  The import scan covers src/qfold, tests and
 demos; the module-level imports of a package's __init__.py are its
 re-exports and are exempt.
 """
@@ -159,6 +160,80 @@ def test_layer_scan_catches_an_import_from_above(tmp_path):
                       "from qfold import folding\n")
     assert qfold_imports(module) == {"rootdata", "verify", "uqn", "cli",
                                      "initquiver", "folding"}
+
+
+# Module-level names that may hold a dict, list or set: constants built at
+# import and never written to.
+MODULE_CONTAINERS = {"__all__", "CONFIG_SCHEMA", "CONFIG_VALIDATOR",
+                     "COMMANDS"}
+CONTAINER_NODES = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp,
+                   ast.SetComp)
+CONTAINER_CALLS = {"dict", "list", "set", "defaultdict", "OrderedDict",
+                   "Counter", "deque"}
+
+
+def _is_container(node):
+    if isinstance(node, ast.Call):
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else \
+            getattr(func, "id", None)
+        return name in CONTAINER_CALLS
+    return isinstance(node, CONTAINER_NODES)
+
+
+def module_state(path: Path):
+    """(line, what) for every functools cache or lru_cache, and for every
+    dict, list or set bound at module level or in a class body (state
+    that lives as long as the module) outside MODULE_CONTAINERS."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            found.extend((node.lineno, "functools." + alias.name)
+                         for alias in node.names
+                         if alias.name in ("cache", "lru_cache"))
+        elif isinstance(node, ast.Attribute) \
+                and node.attr in ("cache", "lru_cache") \
+                and getattr(node.value, "id", None) == "functools":
+            found.append((node.lineno, "functools." + node.attr))
+    bodies = [tree.body] + [node.body for node in ast.walk(tree)
+                            if isinstance(node, ast.ClassDef)]
+    for body in bodies:
+        for node in body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign) and node.value is not None:
+                targets = [node.target]
+            else:
+                continue
+            if not _is_container(node.value):
+                continue
+            found.extend((node.lineno, name.id) for target in targets
+                         for name in ast.walk(target)
+                         if isinstance(name, ast.Name)
+                         and name.id not in MODULE_CONTAINERS)
+    return sorted(found)
+
+
+def test_no_module_level_caches_or_containers():
+    found = []
+    for path in sorted((ROOT / "src" / "qfold").glob("*.py")):
+        found.extend("%s:%d %s" % (path.relative_to(ROOT), line, what)
+                     for line, what in module_state(path))
+    assert not found, "state that outlives a call:\n" + "\n".join(found)
+
+
+def test_state_scan_catches_caches_and_containers(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "import functools\nfrom functools import lru_cache, reduce\n"
+        "__all__ = ['f']\nCOMMANDS = {}\n_memo = {}\nSEEN: set = set()\n"
+        "ROWS = list(range(3))\nLIMIT = 3\n"
+        "class C:\n    table = {k: k for k in 'ab'}\n"
+        "@functools.cache\ndef f():\n    local = []\n    return local\n")
+    assert module_state(module) == [
+        (2, "functools.lru_cache"), (5, "_memo"), (6, "SEEN"), (7, "ROWS"),
+        (10, "table"), (11, "functools.cache")]
 
 
 def perfbench_layers():

@@ -155,6 +155,36 @@ def test_zero_minor_has_warning_note():
     assert "zero minor" in z.note
 
 
+def test_minor_context_of_another_datum_is_refused():
+    # An A2 context that has realized A2 minors refuses all 128 C2 specs
+    # over words up to length 4, rather than reading its A2 memo or
+    # running A2's E-action on C2 weights.
+    ctx = OracleContext(A2)
+    minor_to_shuffle(MinorSpec(A2.fundamental_weight(2), (1, 2)), ctx)
+    words = list(weyl_elements(C2).values())
+    specs = [MinorSpec(C2.fundamental_weight(i), u, v)
+             for i in C2.indices for u in words for v in words]
+    assert len(specs) == 128
+    for spec in specs:
+        with pytest.raises(ValueError,
+                           match="context belongs to a different Cartan "
+                                 "datum"):
+            minor_to_shuffle(spec, ctx)
+
+
+def test_minor_context_realizes_each_spec_once():
+    # A context of an equal datum built on its own serves A2's specs, and
+    # it realizes each spec once: asking again returns the same element.
+    datum = cartan_datum("A", 2)
+    assert datum is not A2
+    ctx = OracleContext(datum)
+    spec = MinorSpec(A2.fundamental_weight(1), (1, 2, 1))
+    d = minor_to_shuffle(spec, ctx)
+    assert not d.is_zero() and d == minor_to_shuffle(spec)
+    assert minor_to_shuffle(MinorSpec(A2.fundamental_weight(1), [1, 2, 1]),
+                            ctx) is d
+
+
 def test_shuffle_unit_and_orthogonal_letters():
     x = theta_star(A1xA1, 1)
     y = theta_star(A1xA1, 2)

@@ -338,8 +338,9 @@ def test_word_independence_reports_the_variables_that_differ(monkeypatch):
     trimmed = {(2, 1, 2), (2, 1, 2, 1)}
     monkeypatch.setattr(
         verify, "realized_exchange_graph",
-        lambda datum, word, quiver, bound:
-            graph(datum, word, quiver, bound)[:1 if word in trimmed else None])
+        lambda datum, word, quiver, bound, context:
+            graph(datum, word, quiver, bound,
+                  context)[:1 if word in trimmed else None])
     r = check_word_independence(A2_INPUT, (1, 2, 1), (2, 1, 2))
     assert r.to_json() == {
         "check": "word_independence",

@@ -52,8 +52,9 @@ for beta in inversion_roots(c2, word):
 # --- Convex orders ----------------------------------------------------------
 #
 # Slope orders from a linear functional are convex; so is the order adapted
-# to a reduced word (chain first, separated complement).  The checker
-# searches the cone-separation axioms exhaustively at small scale.
+# to a reduced word: the inversion sequence of the word extended to a
+# reduced word of w0 (Papi), so the word's own chain comes first.  The
+# checker searches the cone-separation axioms exhaustively at small scale.
 
 a3_datum = cartan_datum("A", 3)
 roots = positive_roots(a3_datum)

@@ -2,10 +2,11 @@
 
 Two constructions are provided: the slope order attached to an injective
 linear functional h (alpha < beta iff h(alpha)/ht(alpha) < h(beta)/ht(beta))
-and the order adapted to a reduced word, which puts the inversion chain
-beta_1 < ... < beta_l first, the complement of the inversion set above it,
-and orders the complement by a separating slope functional that is negative
-exactly on the inversion set.
+and the order adapted to a reduced word.  In finite type the convex orders
+are exactly the inversion sequences of reduced words of w0 (Papi, Proc. AMS
+1994), so the word is extended letter by letter to a reduced word of w0 and
+the order is the inversion chain beta_1 < ... < beta_N of the extension:
+the word's own chain first, the rest of the positive roots above it.
 
 The checker verifies the two cone-separation axioms of a convex (pre)order
 on a finite root set by exhaustive small-coefficient search; it is meant as
@@ -14,7 +15,6 @@ an independent oracle, not an efficient algorithm.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -46,12 +46,11 @@ class ConvexityViolation:
 class ConvexOrder:
     """A total-order comparator on positive roots with provenance."""
 
-    def __init__(self, datum, kind, slope_key=None, chain=None, functional=None):
+    def __init__(self, datum, kind, slope_key=None, chain=None):
         self.datum = datum
         self.kind = kind
-        self._slope_key = slope_key
+        self._slope_key = slope_key or _not_in_chain
         self.chain = tuple(chain) if chain else None
-        self.functional = tuple(functional) if functional is not None else None
         self._chain_pos = ({r: k for k, r in enumerate(chain)} if chain else {})
 
     def compare(self, a: Root, b: Root) -> int:
@@ -76,6 +75,10 @@ class ConvexOrder:
         return sorted(roots, key=functools.cmp_to_key(self.compare))
 
 
+def _not_in_chain(root):
+    raise ConvexOrderError("root %s not in the explicit chain" % (root.coords,))
+
+
 def _slope(h, root):
     value = sum(Fraction(hc) * c for hc, c in zip(h, root.coords))
     return value / root.height()
@@ -90,59 +93,31 @@ def order_from_functional(datum, h) -> ConvexOrder:
     h = tuple(Fraction(x) for x in h)
     if len(h) != datum.rank:
         raise ValueError("functional length does not match rank")
-    return ConvexOrder(datum, "functional",
-                       slope_key=lambda r: _slope(h, r), functional=h)
+    return ConvexOrder(datum, "functional", slope_key=lambda r: _slope(h, r))
 
 
 def order_from_word(datum, word) -> ConvexOrder:
     """The convex order adapted to a reduced word.
 
-    Inside the inversion set the order is the beta-chain; the inversion set
-    sits below its complement; the complement carries the slope order of a
-    functional h with h < 0 on the inversion set and h > 0 on the rest.
-    Such an h is found as g(w(.)) for a generic positive g, retrying the
-    perturbation until the slopes separate all positive roots.
+    The word is extended to a reduced word of w0 by appending, one letter at
+    a time, the first index that keeps it reduced: w s_i is longer than w
+    exactly when w(alpha_i) is positive, and every w other than w0 has such
+    an i, so the extension ends at length |Phi+|.  The order is the
+    inversion chain of the extension, whose first len(word) entries are the
+    word's own chain.
     """
     word = tuple(word)
     if not is_reduced(datum, word):
         raise ConvexOrderError("word %r is not reduced" % (word,))
-    chain = inversion_roots(datum, word)
-    allpos = positive_roots(datum)
-    rng = random.Random(1729)
-    for _ in range(50):
-        g = [Fraction(1) + Fraction(rng.randint(1, 10 ** 6), 10 ** 7)
-             for _ in range(datum.rank)]
-        h = _pullback_through_word(datum, word, g)
-        slopes = [_slope(h, r) for r in allpos]
-        if len(set(slopes)) == len(allpos):
-            return ConvexOrder(datum, "word",
-                               slope_key=lambda r, h=h: _slope(h, r),
-                               chain=chain, functional=h)
-    raise ConvexOrderError("could not find an injective separating functional")
-
-
-def _pullback_through_word(datum, word, g):
-    """Coordinates of beta -> g(w^-1(beta)) as a functional on the simple roots.
-
-    The chain roots beta_k = s_{i1}...s_{i_{k-1}} alpha_{i_k} are exactly the
-    positive roots sent negative by w^-1, so this pullback of a positive
-    generic g is negative precisely on the chain set.
-    """
-    inverse = tuple(reversed(tuple(word)))
-    h = []
-    for i in datum.indices:
-        image = apply_word(inverse, datum.simple_root(i))
-        h.append(sum(gc * c for gc, c in zip(g, image.coords)))
-    return h
+    for _ in range(len(positive_roots(datum)) - len(word)):
+        word += (next(i for i in datum.indices
+                      if apply_word(word, datum.simple_root(i)).is_positive()),)
+    return ConvexOrder(datum, "word", chain=inversion_roots(datum, word))
 
 
 def order_from_chain(datum, roots) -> ConvexOrder:
     """An explicit order given by a full list (useful as a negative control)."""
-
-    def missing(root):
-        raise ConvexOrderError("root %s not in the explicit chain" % (root.coords,))
-
-    return ConvexOrder(datum, "explicit", chain=list(roots), slope_key=missing)
+    return ConvexOrder(datum, "explicit", chain=list(roots))
 
 
 def _in_nonneg_span(target, generators, memo):

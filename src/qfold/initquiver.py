@@ -240,14 +240,6 @@ def initial_pair(datum, word, quiver=None):
     return pair, dict(zip(labels, betas))
 
 
-def check_orbit_action_preserves_quiver(ice: IceQuiver, perm) -> bool:
-    """The induced position permutation must map the arrow multiset to itself
-    and fix the frozen set."""
-    mult = ice.arrow_multiset()
-    mapped = {(perm[s], perm[d]): m for (s, d), m in mult.items()}
-    return mapped == mult and {perm[t] for t in ice.frozen} == set(ice.frozen)
-
-
 def quiver_to_dot(ice: IceQuiver) -> str:
     """DOT text: vertices "t:i", frozen vertices double-boxed, multiplicities
     as edge labels."""

@@ -343,11 +343,6 @@ def left_divide(divisor: TorusElement, dividend: TorusElement) -> TorusElement:
     return TorusElement(torus, quotient)
 
 
-def torus_qcommute(x: TorusElement, y: TorusElement):
-    """The integer m with x y = q^m y x, or None."""
-    return qpower_ratio((x * y).terms, (y * x).terms)
-
-
 # ---------------------------------------------------------------------------
 # Quantum seeds
 # ---------------------------------------------------------------------------
@@ -394,21 +389,6 @@ class QuantumSeed:
         forms = gram_matrix(self.degrees[s] for s in labels)
         for r, (row, form_row) in enumerate(zip(self.pair.lam, forms)):
             _scan_parity(labels, r, row, form_row)
-
-    def lambda_from_variables(self):
-        """Recompute the q-commutation matrix of the stored variables."""
-        labels = self.pair.labels
-        size = len(labels)
-        out = [[0] * size for _ in range(size)]
-        for i in range(size):
-            for j in range(i + 1, size):
-                m = torus_qcommute(self.variables[labels[i]],
-                                   self.variables[labels[j]])
-                if m is None:
-                    return None
-                out[i][j] = m
-                out[j][i] = -m
-        return tuple(tuple(r) for r in out)
 
 
 def check_parity_row(labels, k, row, degrees):

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .laurent import (
     ONE,
@@ -56,7 +57,8 @@ class FWord:
 
 class OracleContext:
     """Memo tables for the Shapovalov engine and the realized minors (by
-    MinorSpec), one per Cartan datum.  A verify call makes one per datum
+    (lambda, mu, eta), whatever words reach mu and eta), one per Cartan
+    datum.  A verify call makes one per datum
     and shares it across its checks; nothing outlives the call."""
 
     def __init__(self, datum):
@@ -451,12 +453,12 @@ def extremal_word(x: ShuffleElement):
     return word, runs
 
 
-def qcommute_exponent(x: ShuffleElement, y: ShuffleElement):
-    """The integer m with x*y = q^m y*x, or None when no such integer exists."""
+def qcommute_exponent(x, y):
+    """The integer m with x*y = q^m y*x, or None when no such integer
+    exists; x and y are shuffle elements or elements of one quantum torus."""
     if x.is_zero() or y.is_zero():
         raise ValueError("q-commutation needs nonzero elements")
-    return qpower_ratio(shuffle_product(x, y).terms,
-                        shuffle_product(y, x).terms)
+    return qpower_ratio((x * y).terms, (y * x).terms)
 
 
 class ShuffleDivisionError(ArithmeticError):
@@ -564,11 +566,11 @@ class MinorSpec:
             if not is_reduced(datum, word):
                 raise ValueError("word %r is not reduced" % (word,))
 
-    @property
+    @cached_property
     def mu(self) -> Weight:
         return apply_word(self.word_mu, self.lam)
 
-    @property
+    @cached_property
     def eta(self) -> Weight:
         return apply_word(self.word_eta, self.lam)
 
@@ -579,16 +581,18 @@ def minor_to_shuffle(spec: MinorSpec, context: OracleContext | None = None) -> S
     The coefficient on a word [i1, ..., in] is (theta_{i1}...theta_{in} v_mu,
     v_eta), the letters acting as E's with the rightmost letter first.  For
     mu not <= eta the minor vanishes; the zero element is returned with a
-    warning note instead of an error.  The context realizes each spec once.
+    warning note instead of an error.  The context realizes each (lambda,
+    mu, eta) once, whichever reduced words the spec names.
     """
     datum = spec.lam.datum
     if context is None:
         context = OracleContext(datum)
     elif context.datum != datum:
         raise ValueError("context belongs to a different Cartan datum")
-    element = context._minors.get(spec)
+    key = (spec.lam, spec.mu, spec.eta)
+    element = context._minors.get(key)
     if element is None:
-        element = context._minors[spec] = _realize_minor(spec, context)
+        element = context._minors[key] = _realize_minor(spec, context)
     return element
 
 

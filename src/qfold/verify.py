@@ -417,12 +417,9 @@ def check_cluster_monomials(input_spec, word, max_exponent=1, contexts=None) \
     tested = 0
     for seed in seeds:
         labels = seed.pair.labels
-        exponent_sets = []
-        for s in labels:
-            exponent_sets.append([(s, v) for v in range(max_exponent + 1)])
-        combos = [{s: v for s, v in combo}
-                  for combo in itertools.product(*exponent_sets)]
-        combos = [c for c in combos if 0 < sum(c.values()) <= 2]
+        combos = [dict(zip(labels, exps)) for exps in itertools.product(
+            range(min(max_exponent, 2) + 1), repeat=len(labels))
+            if 0 < sum(exps) <= 2]
         for s in labels:
             c = dict.fromkeys(labels, 0)
             c[s] = 2

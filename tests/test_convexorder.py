@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+import convexorder_reference
 from qfold.convexorder import (
     ConvexOrderError,
     FunctionalTieError,
@@ -14,7 +15,15 @@ from qfold.convexorder import (
     order_from_functional,
     order_from_word,
 )
-from qfold.rootdata import cartan_datum, longest_word, positive_roots
+from qfold.rootdata import (
+    CartanDatum,
+    apply_word,
+    cartan_datum,
+    inversion_roots,
+    is_reduced,
+    longest_word,
+    positive_roots,
+)
 
 A2 = cartan_datum("A", 2)
 A3 = cartan_datum("A", 3)
@@ -118,3 +127,61 @@ def test_word_order_prefix_words_convex():
     for word in ((1,), (1, 2), (1, 2, 1), (1, 2, 1, 3), (1, 2, 1, 3, 2)):
         order = order_from_word(A3, word)
         assert check_convexity(order, positive_roots(A3)) is None, word
+
+
+def _word_of_chain(datum, chain):
+    """The word whose inversion sequence is chain: beta_k = w(alpha_i) for
+    w the product of the letters before k, so each letter is the one simple
+    root that w sends to beta_k."""
+    word = ()
+    for beta in chain:
+        letters = [i for i in datum.indices
+                   if apply_word(word, datum.simple_root(i)) == beta]
+        assert len(letters) == 1, (word, beta)
+        word += (letters[0],)
+    return word
+
+
+@pytest.mark.parametrize("family, rank, slow", [
+    ("A", 1, False), ("A", 2, False), ("A", 3, False), ("B", 2, False),
+    ("C", 2, False), ("G", 2, False), ("B", 3, True), ("C", 3, True)])
+def test_word_orders_match_the_separating_functional(family, rank, slow,
+                                                     slow_enabled):
+    # Differential: for every prefix of a reduced word of w0, the order of
+    # the extended word and the reference's separating-functional order
+    # are both convex and both put the prefix's chain first.  The chain is
+    # the inversion sequence of a reduced word of w0 that starts with the
+    # prefix.
+    if slow and not slow_enabled:
+        pytest.skip("needs --slow")
+    datum = cartan_datum(family, rank)
+    roots = positive_roots(datum)
+    longest = longest_word(datum)
+    for k in range(len(longest) + 1):
+        word = longest[:k]
+        prefix_chain = inversion_roots(datum, word)
+        order = order_from_word(datum, word)
+        reference = convexorder_reference.order_from_word(datum, word)
+        for each in (order, reference):
+            assert each.kind == "word"
+            assert each.sort(roots)[:k] == prefix_chain, (word, each)
+            assert check_convexity(each, roots) is None, (word, each)
+        extended = _word_of_chain(datum, order.chain)
+        assert extended[:k] == word and len(extended) == len(roots)
+        assert is_reduced(datum, extended)
+        assert list(order.chain) == inversion_roots(datum, extended)
+        assert order.sort(roots) == list(order.chain)
+
+
+def test_word_chain_check_catches_a_foreign_order():
+    # Negative control for _word_of_chain: the positive roots of A2 in the
+    # order a1, a2, a1+a2 are no inversion sequence.
+    a1, a2, a12 = a2_roots()
+    with pytest.raises(AssertionError):
+        _word_of_chain(A2, [a1, a2, a12])
+
+
+def test_word_order_of_infinite_type_is_a_value_error():
+    affine = CartanDatum((1, 2), ((2, -2), (-2, 2)), (1, 1))
+    with pytest.raises(ValueError, match="Weyl group is infinite"):
+        order_from_word(affine, (1, 2))

@@ -2,11 +2,12 @@
 arithmetic modules use no true division and no float literal, the cluster
 calculus keeps to its layer, no module keeps a cache or a container that
 outlives a call, every function the benchmark's traced run wraps still
-exists, and the CLI's config schema is a valid schema.
+exists, no module draws random numbers, and the CLI's config schema is a
+valid schema.
 
-The first four are AST scans.  The import scan covers src/qfold, tests and
-demos; the module-level imports of a package's __init__.py are its
-re-exports and are exempt.
+The first four and the randomness scan are AST scans.  The import scan
+covers src/qfold, tests and demos; the module-level imports of a
+package's __init__.py are its re-exports and are exempt.
 """
 
 from __future__ import annotations
@@ -234,6 +235,44 @@ def test_state_scan_catches_caches_and_containers(tmp_path):
     assert module_state(module) == [
         (2, "functools.lru_cache"), (5, "_memo"), (6, "SEEN"), (7, "ROWS"),
         (10, "table"), (11, "functools.cache")]
+
+
+# The engine is exact and deterministic: no module of src/qfold may draw
+# random numbers.
+RANDOM_MODULES = {"random", "secrets"}
+
+
+def random_imports(path: Path):
+    """(line, module) for every import of a random-number module."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module or ""]
+        else:
+            continue
+        found.extend((node.lineno, name) for name in names
+                     if name.split(".")[0] in RANDOM_MODULES)
+    return sorted(found)
+
+
+def test_engine_draws_no_random_numbers():
+    found = []
+    for path in sorted((ROOT / "src" / "qfold").glob("*.py")):
+        found.extend("%s:%d %s" % (path.relative_to(ROOT), line, name)
+                     for line, name in random_imports(path))
+    assert not found, "random-number imports:\n" + "\n".join(found)
+
+
+def test_random_scan_catches_random_imports(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text("import json\nimport random\nfrom secrets import token_hex\n"
+                      "from . import randomness\nimport os.path, random as r\n"
+                      "def f():\n    from random import Random\n")
+    assert random_imports(module) == [(2, "random"), (3, "secrets"),
+                                      (5, "random"), (7, "random")]
 
 
 def perfbench_layers():

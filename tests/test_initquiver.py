@@ -3,17 +3,17 @@
 from __future__ import annotations
 
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import staircase_reference
-from qfold.folding import QuiverWithAut, fold, underlying_datum
+from qfold.folding import QuiverWithAut, fold, underlying_datum, validate
 from qfold.initquiver import (
     OrbitCompatibilityError,
     build_initial_quiver,
-    check_orbit_action_preserves_quiver,
     exchange_to_json,
     fold_exchange_matrix,
     initial_cluster_variables,
@@ -22,7 +22,14 @@ from qfold.initquiver import (
     staircase,
     vertex_orbits_from_unfolding,
 )
-from qfold.rootdata import CartanDatum, apply_word, cartan_datum, is_reduced
+from qfold.qcluster import CompatiblePair, mutate_pair
+from qfold.rootdata import (
+    CartanDatum,
+    apply_word,
+    cartan_datum,
+    is_reduced,
+    longest_word,
+)
 
 A2 = cartan_datum("A", 2)
 
@@ -154,7 +161,11 @@ def test_c2_via_folded_a3():
     assert unfolded == (1, 3, 2, 1, 3, 2)
     assert orbits == [(1, 2), (3,), (4, 5), (6,)]
     ice = build_initial_quiver(unfolded, underlying_datum(aut))
-    assert check_orbit_action_preserves_quiver(ice, perm)
+    # The position permutation preserves the staircase's arrow multiset and
+    # its frozen set.
+    arrows = [(s, d) for s, d, m in ice.arrows for _ in range(m)]
+    assert validate(QuiverWithAut(ice.positions, arrows, perm)) == []
+    assert {perm[t] for t in ice.frozen} == set(ice.frozen)
     data = fold_exchange_matrix(ice, orbits)
     assert data.labels == ((1, 2), (3,), (4, 5), (6,))
     assert data.exchangeable == ((1, 2), (3,))
@@ -285,6 +296,105 @@ def test_initial_b_is_the_orbit_summed_staircase(name, data):
     assert pair.exchangeable == tuple(exchange.labels.index(o) + 1
                                       for o in exchange.exchangeable)
     assert pair.b == exchange.matrix, word
+
+
+def test_position_permutation_check_catches_a_wrong_permutation():
+    # Negative control for the check in test_c2_via_folded_a3: with two
+    # images of the position permutation swapped, the staircase's arrow
+    # multiset is no longer preserved.
+    aut = FOLDINGS["C2/A3"]
+    unfolded, _, perm = vertex_orbits_from_unfolding(
+        fold(aut).orbits * 2, aut)
+    ice = build_initial_quiver(unfolded, underlying_datum(aut))
+    arrows = [(s, d) for s, d, m in ice.arrows for _ in range(m)]
+    assert validate(QuiverWithAut(ice.positions, arrows, perm)) == []
+    perm[1], perm[3] = perm[3], perm[1]
+    assert "edges-not-preserved" in [v.kind for v in validate(
+        QuiverWithAut(ice.positions, arrows, perm))]
+
+
+def fold_mismatches(folded, unfolded, orbits, sum_rows=False):
+    """Where the unfolded pair fails to fold to the folded one: a B entry
+    b_ij with i, j in one orbit, or a folded b_IJ other than the sum of
+    b_ij over j in J for a representative i of I (with sum_rows, the wrong
+    convention: over i in I for a representative j of J).  Folded label K
+    is the position orbit orbits[K - 1]."""
+    found = [("inside", i, j) for orbit in orbits for i in orbit
+             for j in orbit if j in unfolded.exchangeable
+             and unfolded.b_entry(i, j)]
+    for big_i in folded.labels:
+        for big_j in folded.exchangeable:
+            rows, columns = orbits[big_i - 1], orbits[big_j - 1]
+            if sum_rows:
+                sums = [sum(unfolded.b_entry(i, j) for i in rows)
+                        for j in columns]
+            else:
+                sums = [sum(unfolded.b_entry(i, j) for j in columns)
+                        for i in rows]
+            if any(x != folded.b_entry(big_i, big_j) for x in sums):
+                found.append(("sum", big_i, big_j))
+    return found
+
+
+def lockstep_pairs(quiver, cap, unfolded=None):
+    """(folded pair, unfolded pair, position orbits), first the initial
+    pairs of a reduced word of w0, then one for every mutation of a folded
+    pair in the breadth-first walk over at most cap distinct folded pairs:
+    the folded pair mutated at K, the unfolded one at every position of
+    K's orbit."""
+    datum = fold(quiver).datum
+    word = longest_word(datum)
+    unfolded_word, orbits, _ = vertex_orbits_from_unfolding(word, quiver)
+    folded, _ = initial_pair(datum, word, quiver)
+    if unfolded is None:
+        unfolded, _ = initial_pair(underlying_datum(quiver), unfolded_word)
+    yield folded, unfolded, orbits
+    seen, queue = {folded}, deque([(folded, unfolded)])
+    while queue:
+        folded, unfolded = queue.popleft()
+        for k in folded.exchangeable:
+            pair = unfolded
+            for position in orbits[k - 1]:
+                pair = mutate_pair(pair, position)
+            mutated = mutate_pair(folded, k)
+            yield mutated, pair, orbits
+            if mutated not in seen and len(seen) < cap:
+                seen.add(mutated)
+                queue.append((mutated, pair))
+
+
+@pytest.mark.parametrize("name, cap, checked", [
+    ("C2/A3", 10, 6), ("G2/D4", 500, 1091), ("B3/A5", 500, 1543)])
+def test_orbit_mutation_upstairs_is_one_mutation_downstairs(name, cap,
+                                                            checked):
+    # Folding through mutation: mutating every position of an orbit of the
+    # unfolded pair keeps the orbits free of B entries and folds to the
+    # folded pair mutated once, at every pair the walk reaches.  C2/A3 is
+    # walked in full; the capped walks check the neighbours of the pairs
+    # they expand too, so they check more distinct pairs than the cap.
+    pairs = set()
+    for folded, unfolded, orbits in lockstep_pairs(FOLDINGS[name], cap):
+        assert fold_mismatches(folded, unfolded, orbits) == [], \
+            (name, len(pairs))
+        pairs.add(folded)
+    assert len(pairs) == checked
+
+
+def test_folding_check_fails_on_a_broken_unfolding():
+    # Negative controls, each caught at the initial pair: one unfolded
+    # entry changed (with its skew partner) so that the unfolded B is no
+    # longer sigma-invariant, and rows summed instead of columns.
+    quiver = FOLDINGS["C2/A3"]
+    folded, unfolded, orbits = next(lockstep_pairs(quiver, 1))
+    assert fold_mismatches(folded, unfolded, orbits) == []
+    assert fold_mismatches(folded, unfolded, orbits, sum_rows=True) != []
+    b = [list(row) for row in unfolded.b]
+    b[unfolded.pos(3)][unfolded.ex_pos(1)] += 1
+    b[unfolded.pos(1)][unfolded.ex_pos(3)] -= 1
+    broken = CompatiblePair(unfolded.labels, unfolded.exchangeable,
+                            unfolded.lam, b)
+    walk = lockstep_pairs(quiver, 1, broken)
+    assert fold_mismatches(*next(walk)) == [("sum", 1, 2), ("sum", 2, 1)]
 
 
 # (type, its standard folded quiver): the flip of A_{2n-1} folds to B_n, the

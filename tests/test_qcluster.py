@@ -28,9 +28,9 @@ from qfold.qcluster import (
     seed_canonical_key,
     seed_to_json,
     specialize_classical,
-    torus_qcommute,
 )
 from qfold.rootdata import cartan_datum, gram_matrix
+from qfold.uqn import qcommute_exponent
 
 A2 = cartan_datum("A", 2)
 C2 = cartan_datum("C", 2)
@@ -152,7 +152,7 @@ def test_torus_arithmetic():
     assert x1 * x2 == torus.element({(1, 1): ONE})
     # X2 X1 = q^{lambda_21} X1 X2.
     assert x2 * x1 == torus.element({(1, 1): parse_scalar("q^-3")})
-    assert torus_qcommute(x1, x2) == 3
+    assert qcommute_exponent(x1, x2) == 3
     inverse = x1.left_divide(torus.unit())
     assert inverse == torus.element({(-1, 0): ONE})
     assert x1 * inverse == torus.unit()
@@ -355,7 +355,10 @@ def test_mutated_lambda_matches_variable_commutation():
     for seed in (a2_seed(), c2_seed()):
         for k in seed.pair.exchangeable:
             mutated = mutate_seed(seed, k)
-            assert mutated.lambda_from_variables() == mutated.pair.lam
+            labels, variables = mutated.pair.labels, mutated.variables
+            assert tuple(tuple(
+                0 if s == t else qcommute_exponent(variables[s], variables[t])
+                for t in labels) for s in labels) == mutated.pair.lam
 
 
 def test_mutate_seed_frozen_rejected():

@@ -7,10 +7,12 @@ import random
 
 import pytest
 
+from qfold import uqn
 from qfold.laurent import ONE, ZERO, LaurentScalar, parse_scalar, q_factorial
 from qfold.rootdata import (
     CartanDatum,
     Weight,
+    apply_word,
     bilinear_form,
     cartan_datum,
     weyl_elements,
@@ -35,6 +37,7 @@ from qfold.uqn import (
     unit_element,
     words_of_weight,
 )
+from qfold.verify import resolve_input
 
 A1 = cartan_datum("A", 1)
 A2 = cartan_datum("A", 2)
@@ -183,6 +186,50 @@ def test_minor_context_realizes_each_spec_once():
     assert not d.is_zero() and d == minor_to_shuffle(spec)
     assert minor_to_shuffle(MinorSpec(A2.fundamental_weight(1), [1, 2, 1]),
                             ctx) is d
+
+
+def _reduced_words(datum, length):
+    """Every reduced word of length at most length, shortest first."""
+    words, frontier = [()], [()]
+    for _ in range(length):
+        frontier = [w + (i,) for w in frontier for i in datum.indices
+                    if apply_word(w, datum.simple_root(i)).is_positive()]
+        words += frontier
+    return words
+
+
+C2_FOLDED = resolve_input({"quiver": {
+    "vertices": [1, 2, 3], "edges": [[1, 2], [3, 2]],
+    "automorphism": {"1": 3, "2": 2, "3": 1}}})[0]
+
+
+@pytest.mark.parametrize("datum, length", [
+    (A2, 3), (C2, 4), (C2_FOLDED, 4), (cartan_datum("G", 2), 6), (A3, 4)],
+    ids=["A2", "C2", "C2-folded", "G2", "A3"])
+def test_reduced_words_of_one_minor_realize_one_element(datum, length):
+    # Differential for the minor memo's key (lambda, mu, eta): every pair of
+    # reduced words (up to length) with the same mu and eta realizes the
+    # same element, each realized on its own, and a context hands the
+    # element of one spec to every other spec of its (lambda, mu, eta).
+    words = _reduced_words(datum, length)
+    groups = {}
+    for i in datum.indices:
+        lam = datum.fundamental_weight(i)
+        for u, v in itertools.product(words, repeat=2):
+            spec = MinorSpec(lam, u, v)
+            groups.setdefault((lam, spec.mu, spec.eta), []).append(spec)
+    ctx, memo = OracleContext(datum), OracleContext(datum)
+    nonzero = 0
+    for specs in groups.values():
+        assert len(specs) > 1
+        first = uqn._realize_minor(specs[0], ctx)
+        nonzero += not first.is_zero()
+        for spec in specs[1:]:
+            assert uqn._realize_minor(spec, ctx) == first, (specs[0], spec)
+        realized = minor_to_shuffle(specs[0], memo)
+        assert realized == first
+        assert all(minor_to_shuffle(spec, memo) is realized for spec in specs)
+    assert nonzero >= len(datum.indices) * 2
 
 
 def test_shuffle_unit_and_orthogonal_letters():

@@ -321,6 +321,49 @@ def test_cluster_monomials_tell_seeds_apart_by_lambda(monkeypatch):
         A3_INPUT, A3_W0).to_json()
 
 
+def _pinned_report(details, input_spec, word, max_exponent, **extra):
+    passed = "exponents" not in extra
+    return {"check": "cluster_monomials" if passed else "dual_canonical",
+            "details": details,
+            "instance": {"check": "cluster_monomials", "input": input_spec,
+                         "word": list(word), "max_exponent": max_exponent,
+                         **extra},
+            "passed": passed, "status": "pass" if passed else "fail"}
+
+
+def test_cluster_monomial_exponents_do_not_depend_on_max_exponent(
+        monkeypatch):
+    # Pinned from the enumeration over every exponent up to max_exponent,
+    # filtered to total degree 1 or 2: the same monomials in the same order
+    # for every max_exponent, so the same counts and the same first failing
+    # exponents.
+    for max_exponent in (3, 50):
+        assert check_cluster_monomials(
+            A2_INPUT, (1, 2, 1), max_exponent).to_json() == _pinned_report(
+                "18 monomials over 2 seeds", A2_INPUT, (1, 2, 1), max_exponent)
+    assert check_cluster_monomials(A3_INPUT, A3_W0, 3).to_json() \
+        == _pinned_report("378 monomials over 14 seeds", A3_INPUT, A3_W0, 3)
+    # The Lambda-perturbed control of
+    # test_cluster_monomials_tell_seeds_apart_by_lambda fails at the same
+    # exponents with max_exponent 3.
+    datum, quiver = resolve_input(A3_INPUT)
+    seeds = realized_exchange_graph(datum, A3_W0, quiver)
+    seed = seeds[1]
+    s, t = [x for x in seed.pair.labels if seed.g[x] == seeds[0].g[x]][:2]
+    lam = [list(row) for row in seed.pair.lam]
+    lam[seed.pair.pos(s)][seed.pair.pos(t)] += 2
+    lam[seed.pair.pos(t)][seed.pair.pos(s)] -= 2
+    seeds[1] = dataclasses.replace(
+        seed, pair=dataclasses.replace(seed.pair, lam=lam))
+    monkeypatch.setattr(verify, "realized_exchange_graph",
+                        lambda *args: seeds)
+    assert (s, t) == (2, 3)
+    assert check_cluster_monomials(A3_INPUT, A3_W0, 3).to_json() \
+        == _pinned_report("not bar-invariant", A3_INPUT, A3_W0, 3,
+                          exponents={"1": 0, "2": 1, "3": 1, "4": 0, "5": 0,
+                                     "6": 0})
+
+
 def test_word_independence_a2():
     r = check_word_independence(A2_INPUT, (1, 2, 1), (2, 1, 2))
     assert r.passed and "4 distinct" in r.details

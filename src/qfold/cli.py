@@ -35,7 +35,7 @@ from .qcluster import (
     seed_to_json,
     torus_to_json,
 )
-from .rootdata import datum_to_json, inversion_roots, is_reduced
+from .rootdata import datum_to_json, inversion_roots
 from .uqn import shuffle_to_json
 from .verify import oracle_seed_data, resolve_input
 
@@ -145,7 +145,7 @@ def cmd_roots(config, args):
     word = _word(config, datum, quiver)
     betas = inversion_roots(datum, word)
     _emit({"word": [list(x) if isinstance(x, tuple) else x for x in word],
-           "reduced": is_reduced(datum, word),
+           "reduced": all(b.is_positive() for b in betas),
            "inversion_roots": [list(b.coords) for b in betas]})
     return 0
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .folding import QuiverWithAut, orbit_word, underlying_datum
 from .qcluster import CompatiblePair
-from .rootdata import CartanDatum, apply_word, bilinear_form, is_reduced
+from .rootdata import CartanDatum, bilinear_form, inversion_roots, is_reduced
 from .uqn import MinorSpec
 
 
@@ -201,9 +201,14 @@ def initial_pair(datum, word, quiver=None):
     reduced word, from the word alone; a quiver input only names the
     letters as its orbits.
 
-    beta_t = w_{i_t} - s_{i_1}...s_{i_t} w_{i_t} is the degree of Y_t.  For
-    s < t, Lambda_st = (beta_s, beta_t) - 2 d_{i_t} [beta_s : alpha_{i_t}],
-    where [beta : alpha] is the coefficient of alpha in beta (Geiss-Leclerc-
+    beta_t = w_{i_t} - s_{i_1}...s_{i_t} w_{i_t} is the degree of Y_t.  It
+    is the sum of the inversion roots gamma_k over the positions k <= t of
+    t's row, since w_{k-1} w_i - w_k w_i is gamma_k when i_k = i and 0
+    otherwise; one inversion-root pass gives these running sums and checks
+    that the word is reduced (every gamma_k positive), for any
+    symmetrizable datum.  For s < t,
+    Lambda_st = (beta_s, beta_t) - 2 d_{i_t} [beta_s : alpha_{i_t}], where
+    [beta : alpha] is the coefficient of alpha in beta (Geiss-Leclerc-
     Schroer 2013, Kimura 2012, in this package's conventions).  B is the
     staircase rule: b_{t+,t} = 1 = -b_{t,t+}, and b_ab = -a_{i_a i_b},
     b_ba = a_{i_b i_a} for each rule pair (a, b); the positions t with
@@ -211,14 +216,15 @@ def initial_pair(datum, word, quiver=None):
     staircase summed over position orbits.
     """
     word = resolve_word(datum, word, quiver)
-    if not is_reduced(datum, word):
+    gammas = inversion_roots(datum, word)
+    if not all(gamma.is_positive() for gamma in gammas):
         raise ValueError("word %r is not reduced" % (word,))
     n = len(word)
     labels = tuple(range(1, n + 1))
-    betas = []
-    for t, i in enumerate(word, 1):
-        omega = datum.fundamental_weight(i)
-        betas.append((omega - apply_word(word[:t], omega)).to_root())
+    betas, row_sums = [], {}
+    for i, gamma in zip(word, gammas):
+        row_sums[i] = row_sums[i] + gamma if i in row_sums else gamma
+        betas.append(row_sums[i])
     lam = [[0] * n for _ in word]
     for t, i in enumerate(word):
         for s in range(t):

@@ -1,9 +1,12 @@
 """Symmetrizable Cartan data, weights, roots and Weyl-word machinery.
 
 Weights are stored in fundamental-weight coordinates, roots in simple-root
-coordinates; the bilinear form and reflections convert between the two as
-needed.  Weyl group elements are only ever represented by words; equality
-of elements is equality of the action on all fundamental weights.
+coordinates.  Reflections act on both; the bilinear form pairs roots only.
+Weights never turn back into roots: every weight the package handles is an
+extremal weight w lambda, and lambda - w lambda is read off the word as an
+integer root (the letter content of its extremal F-word, or running sums of
+inversion roots).  Weyl group elements are only ever represented by words;
+equality of elements is equality of the action on all fundamental weights.
 """
 
 from __future__ import annotations
@@ -192,14 +195,6 @@ class Weight(_Vector):
     def is_dominant(self) -> bool:
         return all(c >= 0 for c in self.coords)
 
-    def to_root(self):
-        """Express in the simple-root basis: a Root, or None when the weight
-        is outside the root lattice."""
-        coords = _solve_root_coords(self.datum, self.coords)
-        if coords is None or any(c.denominator != 1 for c in coords):
-            return None
-        return Root(self.datum, tuple(int(c) for c in coords))
-
     def __repr__(self):
         return "Weight%s" % (self.coords,)
 
@@ -229,37 +224,6 @@ class Root(_Vector):
 
     def __repr__(self):
         return "Root%s" % (self.coords,)
-
-
-def _solve_root_coords(datum, omega_coords):
-    """Solve A x = omega_coords over Q (A = Cartan matrix); None if inconsistent."""
-    n = datum.rank
-    aug = [[Fraction(datum.cartan[r][c]) for c in range(n)]
-           + [Fraction(omega_coords[r])] for r in range(n)]
-    pivots = []
-    row = 0
-    for col in range(n):
-        piv = next((r for r in range(row, n) if aug[r][col] != 0), None)
-        if piv is None:
-            continue
-        aug[row], aug[piv] = aug[piv], aug[row]
-        inv = Fraction(1) / aug[row][col]
-        aug[row] = [v * inv for v in aug[row]]
-        for r in range(n):
-            if r != row and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [v - factor * w for v, w in zip(aug[r], aug[row])]
-        pivots.append(col)
-        row += 1
-    for r in range(row, n):
-        if aug[r][n] != 0:
-            return None
-    if len(pivots) != n:
-        raise ValueError("singular Cartan matrix: root coordinates not unique")
-    sol = [Fraction(0)] * n
-    for r, col in enumerate(pivots):
-        sol[col] = aug[r][n]
-    return sol
 
 
 def reflect(v, i):
@@ -297,29 +261,9 @@ def is_reduced(datum, word) -> bool:
 
 
 def bilinear_form(u, v):
-    """The W-invariant form with (alpha_i,alpha_j) = d_i a_ij, (omega_i,alpha_j) = delta_ij d_j.
-
-    Mixed bases are converted internally; returns an int when the value is
-    integral, otherwise an exact Fraction (possible only for weight/weight
-    pairs outside the root lattice).
-    """
-    if u.datum != v.datum:
-        raise TypeError("operands live over different Cartan data")
-    datum = u.datum
-    n = datum.rank
-    if isinstance(u, Weight) and isinstance(v, Root):
-        u, v = v, u
-    if isinstance(u, Root) and isinstance(v, Root):
-        return gram_row(u, [v])[0]
-    if isinstance(u, Root) and isinstance(v, Weight):
-        return sum(u.coords[c] * v.coords[c] * datum.symmetrizers[c]
-                   for c in range(n))
-    # weight/weight: route one argument through the root basis
-    coords = _solve_root_coords(datum, u.coords)
-    if coords is None:
-        raise ValueError("weight outside the rational root span")
-    total = sum(coords[c] * v.coords[c] * datum.symmetrizers[c] for c in range(n))
-    return int(total) if total.denominator == 1 else total
+    """The W-invariant form (alpha_i, alpha_j) = d_i a_ij on two Roots over
+    one Cartan datum; anything else is a TypeError."""
+    return gram_row(u, [v])[0]
 
 
 def gram_row(u, roots) -> list:
@@ -372,15 +316,6 @@ def extremal_exponents(lam: Weight, word):
     if any(c < 0 for c in exponents):
         raise AssertionError("negative extremal exponent; input invariants broken")
     return exponents
-
-
-def dominance_leq(mu: Weight, eta: Weight) -> bool:
-    """True iff eta - mu is a nonnegative integer combination of simple roots.
-
-    Weights differing outside the root lattice compare as False.
-    """
-    diff = (eta - mu).to_root()
-    return diff is not None and all(c >= 0 for c in diff.coords)
 
 
 def weyl_equal(datum: CartanDatum, word1, word2) -> bool:

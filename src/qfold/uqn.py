@@ -31,14 +31,7 @@ from .laurent import (
     qpower_ratio,
     scale_terms,
 )
-from .rootdata import (
-    Root,
-    Weight,
-    apply_word,
-    dominance_leq,
-    extremal_exponents,
-    is_reduced,
-)
+from .rootdata import Root, Weight, extremal_exponents
 
 
 @dataclass(frozen=True)
@@ -54,11 +47,21 @@ class FWord:
         if any(c < 1 for _, c in self.letters):
             raise ValueError("divided-power exponents must be positive")
 
+    @cached_property
+    def depth(self) -> Root:
+        """lambda minus the weight of the vector: its letter content
+        sum c alpha_i, as a root."""
+        datum = self.lam.datum
+        coords = [0] * datum.rank
+        for i, c in self.letters:
+            coords[datum.pos(i)] += c
+        return Root(datum, tuple(coords))
+
 
 class OracleContext:
     """Memo tables for the Shapovalov engine and the realized minors (by
-    (lambda, mu, eta), whatever words reach mu and eta), one per Cartan
-    datum.  A verify call makes one per datum
+    (lambda, lambda - mu, lambda - eta), whatever words reach mu and eta),
+    one per Cartan datum.  A verify call makes one per datum
     and shares it across its checks; nothing outlives the call."""
 
     def __init__(self, datum):
@@ -103,10 +106,8 @@ class OracleContext:
             for word, coeff in self.apply_e(lam, i, rest).items():
                 self._prepended((j, d), word, coeff, out)
             if j == i:
-                mu = lam
-                for jj, cc in rest:
-                    mu = mu - cc * datum.simple_root(jj).to_weight()
-                m = mu.coroot_pairing(i)
+                m = lam.coroot_pairing(i) \
+                    - sum(cc * datum.a(i, jj) for jj, cc in rest)
                 coeff = q_int(m - d + 1, datum.d(i))
                 if coeff:
                     if d == 1:
@@ -550,46 +551,46 @@ def _solve_laurent_system(matrix, ncols):
 @dataclass(frozen=True)
 class MinorSpec:
     """D(mu, eta) specified by a dominant weight and reduced words u, v with
-    mu = u lambda, eta = v lambda."""
+    mu = u lambda, eta = v lambda.
+
+    Construction builds the extremal F-words v_mu and v_eta once, which
+    checks lambda and both words.  weight = eta - mu is the letter content
+    of v_mu minus that of v_eta, an integer root for every Cartan datum.
+    """
 
     lam: Weight
     word_mu: tuple
     word_eta: tuple = ()
+    v_mu: FWord = field(init=False, repr=False, compare=False)
+    v_eta: FWord = field(init=False, repr=False, compare=False)
+    weight: Root = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "word_mu", tuple(self.word_mu))
-        object.__setattr__(self, "word_eta", tuple(self.word_eta))
-        datum = self.lam.datum
-        if not self.lam.is_dominant():
-            raise ValueError("lambda must be dominant")
-        for word in (self.word_mu, self.word_eta):
-            if not is_reduced(datum, word):
-                raise ValueError("word %r is not reduced" % (word,))
-
-    @cached_property
-    def mu(self) -> Weight:
-        return apply_word(self.word_mu, self.lam)
-
-    @cached_property
-    def eta(self) -> Weight:
-        return apply_word(self.word_eta, self.lam)
+        word_mu, word_eta = tuple(self.word_mu), tuple(self.word_eta)
+        v_mu = extremal_vector(self.lam, word_mu)
+        v_eta = extremal_vector(self.lam, word_eta)
+        for name, value in (("word_mu", word_mu), ("word_eta", word_eta),
+                            ("v_mu", v_mu), ("v_eta", v_eta),
+                            ("weight", v_mu.depth - v_eta.depth)):
+            object.__setattr__(self, name, value)
 
 
 def minor_to_shuffle(spec: MinorSpec, context: OracleContext | None = None) -> ShuffleElement:
     """Realize D(mu, eta) as a shuffle element.
 
     The coefficient on a word [i1, ..., in] is (theta_{i1}...theta_{in} v_mu,
-    v_eta), the letters acting as E's with the rightmost letter first.  For
-    mu not <= eta the minor vanishes; the zero element is returned with a
-    warning note instead of an error.  The context realizes each (lambda,
-    mu, eta) once, whichever reduced words the spec names.
+    v_eta), the letters acting as E's with the rightmost letter first.  When
+    eta - mu has a negative coordinate (mu is not <= eta) the minor
+    vanishes; the zero element is returned with a warning note instead of
+    an error.  The context realizes each (lambda, lambda - mu, lambda - eta)
+    once, whichever reduced words the spec names.
     """
     datum = spec.lam.datum
     if context is None:
         context = OracleContext(datum)
     elif context.datum != datum:
         raise ValueError("context belongs to a different Cartan datum")
-    key = (spec.lam, spec.mu, spec.eta)
+    key = (spec.lam, spec.v_mu.depth, spec.v_eta.depth)
     element = context._minors.get(key)
     if element is None:
         element = context._minors[key] = _realize_minor(spec, context)
@@ -598,24 +599,22 @@ def minor_to_shuffle(spec: MinorSpec, context: OracleContext | None = None) -> S
 
 def _realize_minor(spec: MinorSpec, context: OracleContext) -> ShuffleElement:
     datum = spec.lam.datum
-    mu, eta = spec.mu, spec.eta
-    if not dominance_leq(mu, eta):
+    nu = spec.weight
+    if any(c < 0 for c in nu.coords):
         zero_w = Root(datum, (0,) * datum.rank)
         return ShuffleElement(datum, zero_w, {},
                               note="mu is not <= eta: zero minor")
-    nu = (eta - mu).to_root()
-    v_mu = extremal_vector(spec.lam, spec.word_mu)
-    v_eta = extremal_vector(spec.lam, spec.word_eta)
     acc = {}
     for word in words_of_weight(datum, nu):
-        terms = {v_mu.letters: ONE}
+        terms = {spec.v_mu.letters: ONE}
         for letter in reversed(word):
             terms = context.apply_e_power(spec.lam, letter, 1, terms)
             if not terms:
                 break
         value = ZERO
         for fword, coeff in terms.items():
-            value = value + coeff * context.pair(spec.lam, fword, v_eta.letters)
+            value = value + coeff * context.pair(spec.lam, fword,
+                                                 spec.v_eta.letters)
         if value:
             acc[word] = value
     return ShuffleElement(datum, nu, acc)

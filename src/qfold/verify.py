@@ -25,10 +25,8 @@ from .qcluster import (
     normalized_monomial,
 )
 from .rootdata import (
-    apply_word,
     bilinear_form,
     cartan_datum,
-    dominance_leq,
     is_finite_type,
     is_reduced,
     weyl_elements,
@@ -41,6 +39,7 @@ from .uqn import (
     ShuffleElement,
     bar_element,
     coproduct_components,
+    extremal_vector,
     extremal_word,
     minor_to_shuffle,
     qcommute_exponent,
@@ -211,9 +210,10 @@ def _name_among_minors(datum, element, context):
     Mutated cluster variables are often minors with non-fundamental eta
     (the dual PBW elements have eta = s_{i1}...s_{i_{k-1}} omega_{i_k}), so
     both Weyl elements range over the full group.  A minor depends only on
-    (mu, eta) and eta = mu + wt(element), so one lookup per extremal weight
-    mu = u omega_i finds the candidate; u and v are the first words of their
-    weights in BFS order.
+    the depths omega_i - mu and omega_i - eta, integer roots read off the
+    extremal F-words, and wt(element) = eta - mu; so one lookup per depth
+    of u finds v at that depth minus wt(element).  u and v are the first
+    words of their depths in BFS order.
     """
     def wname(u):
         return "s" + "s".join(str(x) for x in u) if u else "1"
@@ -224,14 +224,13 @@ def _name_among_minors(datum, element, context):
     if not is_finite_type(datum):
         return None
     words = weyl_elements(datum).values()
-    shift = element.weight.to_weight()
     for i in datum.indices:
         omega = datum.fundamental_weight(i)
         first = {}
         for u in words:
-            first.setdefault(apply_word(u, omega), u)
-        for mu, u in first.items():
-            v = first.get(mu + shift)
+            first.setdefault(extremal_vector(omega, u).depth, u)
+        for depth, u in first.items():
+            v = first.get(depth - element.weight)
             if v is not None and \
                     minor_to_shuffle(MinorSpec(omega, u, v), context) == element:
                 return "D(%s w_%s, %s w_%s)" % (wname(u), i, wname(v), i)
@@ -282,26 +281,23 @@ def check_restriction_factorization(input_spec, fundamental, chain_words,
     fundamental = resolve_word(datum, (fundamental,), quiver)[0]
     words = [resolve_word(datum, w, quiver) for w in chain_words]
     lam = datum.fundamental_weight(fundamental)
-    mus = [apply_word(w, lam) for w in words]
-    for lower, higher in zip(mus, mus[1:]):
-        if not dominance_leq(lower, higher) or lower == higher:
+    # The minors of consecutive links, top link first; each one's weight
+    # eta - mu is the link's step.
+    links = [MinorSpec(lam, lower, higher)
+             for lower, higher in zip(words, words[1:])][::-1]
+    for link in links:
+        if link.weight.is_zero() or any(c < 0 for c in link.weight.coords):
             return VerificationReport(
                 "restriction_factorization", instance, "fail",
                 "chain is not strictly dominance-increasing")
-    n = len(words) - 1
     big = minor_to_shuffle(MinorSpec(lam, words[0], words[-1]), context)
-    parts = []
-    factors = []
-    for k in range(n):
-        lo, hi = n - 1 - k, n - k
-        parts.append((mus[hi] - mus[lo]).to_root())
-        factors.append(minor_to_shuffle(
-            MinorSpec(lam, words[lo], words[hi]), context))
+    parts = [link.weight for link in links]
+    factors = [minor_to_shuffle(link, context) for link in links]
     split = coproduct_components(big, parts)
     expected = tensor_of_elements(factors)
     if split == expected:
         return VerificationReport("restriction_factorization", instance,
-                                  "pass", "%d tensor factors" % n)
+                                  "pass", "%d tensor factors" % len(links))
     return VerificationReport(
         "restriction_factorization", instance, "fail",
         "components differ from the tensor of minors",

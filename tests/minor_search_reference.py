@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from qfold.rootdata import apply_word, weyl_elements
 from qfold.uqn import MinorSpec, minor_to_shuffle, theta_star
+from weights_reference import to_root
 
 
 def reference_name(datum, element, context):
@@ -26,7 +27,7 @@ def reference_name(datum, element, context):
         for u in elements:
             mu = apply_word(u, omega)
             for v in elements:
-                diff = (apply_word(v, omega) - mu).to_root()
+                diff = to_root(apply_word(v, omega) - mu)
                 if diff is None or diff.coords != element.weight.coords:
                     continue
                 if minor_to_shuffle(MinorSpec(omega, u, v), context) == element:

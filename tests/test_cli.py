@@ -69,6 +69,13 @@ def test_roots_command(tmp_path, capsys):
     data = json.loads(out)
     assert data["reduced"] is True
     assert data["inversion_roots"] == [[1, 0], [1, 1], [0, 1]]
+    # A non-reduced word shows as a negative inversion root.
+    path = _write(tmp_path, {"input": {"type": ["A", 2]}, "word": [1, 2, 2]})
+    code, out, _ = _run(capsys, ["roots", "--config", path])
+    assert code == 0
+    data = json.loads(out)
+    assert data["reduced"] is False
+    assert data["inversion_roots"] == [[1, 0], [1, 1], [-1, -1]]
 
 
 def test_initquiver_dot_and_json(tmp_path, capsys):
@@ -313,6 +320,25 @@ def test_raw_cartan_datum_input(tmp_path, capsys):
     code, _, err = _run(capsys, ["seed-init", "--config", path])
     assert code == 2
     assert "symmetrizable" in err
+
+
+def test_singular_cartan_datum_is_accepted(tmp_path, capsys):
+    # Affine A1 has a singular Cartan matrix.  The seed degrees are integer
+    # roots read off the word, so no solve for root coordinates can fail.
+    config = {"input": {"indices": [1, 2], "cartan": [[2, -2], [-2, 2]],
+                        "symmetrizers": [1, 1]},
+              "word": [1, 2, 1]}
+    path = _write(tmp_path, config)
+    code, out, err = _run(capsys, ["seed-init", "--config", path])
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    degrees = [v["degree"] for v in data["variables"]]
+    assert degrees == [[1, 0], [2, 1], [4, 2]]
+    assert [data["minors"][t]["weight"] for t in "123"] == degrees
+    code, out, err = _run(capsys, ["enumerate", "--config", path])
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    assert data["seeds"] == 2 and data["complete"] is True
 
 
 @pytest.mark.parametrize("spec", [

@@ -14,7 +14,6 @@ from qfold.rootdata import (
     cartan_datum,
     datum_from_json,
     datum_to_json,
-    dominance_leq,
     extremal_exponents,
     gram_matrix,
     gram_row,
@@ -27,6 +26,7 @@ from qfold.rootdata import (
     weyl_elements,
     weyl_equal,
 )
+from qfold.uqn import MinorSpec
 
 A2 = cartan_datum("A", 2)
 A3 = cartan_datum("A", 3)
@@ -115,20 +115,19 @@ def test_bilinear_form():
             ai = datum.simple_root(i)
             assert bilinear_form(ai, ai) == 2 * datum.d(i)
     assert bilinear_form(C2.simple_root(1), C2.simple_root(2)) == -2
-    omega1 = A2.fundamental_weight(1)
-    assert bilinear_form(omega1, A2.simple_root(1)) == 1
-    assert bilinear_form(omega1, A2.simple_root(2)) == 0
+    # The form pairs roots only; a weight is never turned into a root.
+    with pytest.raises(TypeError):
+        bilinear_form(A2.fundamental_weight(1), A2.simple_root(1))
 
 
 def test_bilinear_form_weyl_invariance_random():
     rng = random.Random(11)
     for datum in (A2, A3, C2, G2):
         roots = [datum.simple_root(i) for i in datum.indices]
-        weights = [datum.fundamental_weight(i) for i in datum.indices]
         for _ in range(60):
             word = tuple(rng.choice(datum.indices) for _ in range(rng.randint(0, 5)))
-            u = rng.choice(roots + weights)
-            v = rng.choice(roots + weights)
+            u = rng.choice(roots)
+            v = rng.choice(roots)
             assert bilinear_form(apply_word(word, u), apply_word(word, v)) \
                 == bilinear_form(u, v)
 
@@ -189,11 +188,16 @@ def test_extremal_exponents():
 
 
 def test_dominance():
+    # mu <= eta exactly when the minor weight eta - mu has no negative
+    # coordinate.
+    def leq(lam, u, v):
+        return all(c >= 0 for c in MinorSpec(lam, u, v).weight.coords)
+
     omega1, omega2 = A2.fundamental_weight(1), A2.fundamental_weight(2)
-    assert dominance_leq(omega2, omega2)
-    assert dominance_leq(apply_word((1, 2), omega2), omega2)
-    assert not dominance_leq(omega1, omega2)
-    assert not dominance_leq(omega2, apply_word((1, 2), omega2))
+    assert leq(omega2, (), ())
+    assert leq(omega2, (1, 2), ())
+    assert not leq(omega1, (), (1,))
+    assert not leq(omega2, (), (1, 2))
 
 
 def test_weyl_group_sizes():

@@ -217,7 +217,8 @@ def test_reduced_words_of_one_minor_realize_one_element(datum, length):
         lam = datum.fundamental_weight(i)
         for u, v in itertools.product(words, repeat=2):
             spec = MinorSpec(lam, u, v)
-            groups.setdefault((lam, spec.mu, spec.eta), []).append(spec)
+            key = (lam, apply_word(u, lam), apply_word(v, lam))
+            groups.setdefault(key, []).append(spec)
     ctx, memo = OracleContext(datum), OracleContext(datum)
     nonzero = 0
     for specs in groups.values():

@@ -95,6 +95,11 @@ def test_initial_lambda_names_a_perturbed_entry(monkeypatch):
     assert r.witness["lambda"] == r.witness["oracle"] + 2
 
 
+# Cartan data with singular Cartan matrices: affine A1 and A2^(2).
+AFFINE_A1 = {"indices": [1, 2], "cartan": [[2, -2], [-2, 2]],
+             "symmetrizers": [1, 1]}
+TWISTED_A2 = {"indices": [1, 2], "cartan": [[2, -1], [-4, 2]],
+              "symmetrizers": [4, 1]}
 # (input, longest word drawn) of the formula-versus-oracle property test.
 FORMULA_CASES = [
     (A2_INPUT, 3),
@@ -110,17 +115,20 @@ FORMULA_CASES = [
                  "automorphism": {"1": 3, "2": 2, "3": 4, "4": 1}}}, 5),
     ({"type": ["C", 2]}, 4),
     ({"type": ["G", 2]}, 5),
+    (AFFINE_A1, 4),
 ]
 
 
 @pytest.mark.parametrize("input_spec, length", FORMULA_CASES)
 def test_initial_pair_matches_the_oracle(input_spec, length):
-    # Differential: the word-only Lambda and degrees of initial_pair against
-    # the q-commutation exponents and weights of the oracle's minors, over
-    # A2-A4, C2, B3, G2 folded from A3, A5, D4, and the C2 and G2 types.
+    # Differential and cross-layer: the word-only Lambda and degrees of
+    # initial_pair (running sums of inversion roots) against the
+    # q-commutation exponents and weights (letter contents of extremal
+    # F-words) of the oracle's minors, label by label, over A2-A4, C2, B3,
+    # G2 folded from A3, A5, D4, the C2 and G2 types, and affine A1.
     # In rank 2 the reduced words of a length up to the Coxeter number are
-    # the two alternating ones, so both are checked; in higher rank the
-    # words are drawn.
+    # the two alternating ones, so both are checked (in affine A1 every
+    # alternating word is reduced); in higher rank the words are drawn.
     datum, quiver = resolve_input(input_spec)
 
     def check(word):
@@ -144,6 +152,18 @@ def test_initial_pair_matches_the_oracle(input_spec, length):
         check(_reduced_prefix(datum, letters)[:length])
 
     drawn()
+
+
+@pytest.mark.parametrize("input_spec", [AFFINE_A1, TWISTED_A2],
+                         ids=["A1-affine", "A2-twisted"])
+def test_initial_lambda_on_singular_cartan_data(input_spec):
+    r = check_initial_lambda(input_spec, (1, 2, 1, 2))
+    assert r.passed and r.status == "pass", r.details
+
+
+def test_exchange_relation_on_affine_a1():
+    r = check_exchange_relation(AFFINE_A1, (1, 2, 1, 2), 1)
+    assert r.passed and r.status == "pass", r.details
 
 
 def test_initial_lambda_on_symmetrizable_type_inputs():
@@ -221,6 +241,10 @@ def test_restriction_factorization():
     # Wrong chain ordering is rejected.
     r = check_restriction_factorization(A2_INPUT, 2, [(), (2,), (1, 2)])
     assert not r.passed
+    # So is a repeated weight: s2 s1 w2 = s2 w2, a link of weight zero.
+    r = check_restriction_factorization(A2_INPUT, 2,
+                                        [(1, 2), (2,), (2, 1), ()])
+    assert r.details == "chain is not strictly dominance-increasing"
 
 
 def test_dual_canonical_and_extremal_word():

@@ -12,7 +12,6 @@ shared freely.
 from __future__ import annotations
 
 import operator
-import re
 from fractions import Fraction
 
 
@@ -329,41 +328,3 @@ def qpower_ratio(num: dict, den: dict):
         return m
     return None
 
-
-_TERM_RE = re.compile(
-    r"""^\s*
-        (?P<coeff>[+-]?\s*\d+(?:/\d+)?|[+-])? # optional rational coefficient
-        \s*\*?\s*
-        (?P<q>q(?:\^(?P<exp>[+-]?\d+))?)?     # optional q power
-        \s*$""",
-    re.VERBOSE,
-)
-
-
-def parse_scalar(text: str) -> LaurentScalar:
-    """Parse the rendering grammar "a*q^k + ..." back into a scalar."""
-    text = text.strip()
-    if text == "0":
-        return ZERO
-    # Split on top-level +/- while keeping the sign with the term.
-    chunks = re.split(r"\s+(?=[+-])", re.sub(r"([+-])\s+", r"\1", text))
-    terms = []
-    for chunk in chunks:
-        m = _TERM_RE.match(chunk)
-        if not m or (m.group("coeff") is None and m.group("q") is None):
-            raise ValueError("cannot parse Laurent term %r" % chunk)
-        coeff_text = m.group("coeff")
-        if coeff_text is None:
-            coeff = Fraction(1)
-        elif coeff_text in ("+", "-"):
-            coeff = Fraction(1 if coeff_text == "+" else -1)
-        else:
-            coeff = Fraction(coeff_text.replace(" ", ""))
-        if m.group("q") is None:
-            exp = 0
-        elif m.group("exp") is None:
-            exp = 1
-        else:
-            exp = int(m.group("exp"))
-        terms.append((exp, coeff))
-    return LaurentScalar(terms)

@@ -386,9 +386,10 @@ class QuantumSeed:
                                            for r, s in enumerate(ex)})
             object.__setattr__(self, "table", {
                 g[s]: (self.degrees[s], self.variables[s]) for s in labels})
-        forms = gram_matrix(self.degrees[s] for s in labels)
-        for r, (row, form_row) in enumerate(zip(self.pair.lam, forms)):
-            _scan_parity(labels, r, row, form_row)
+        degrees = [self.degrees[s] for s in labels]
+        for r, row in enumerate(self.pair.lam):
+            _scan_parity(labels, r, row[r + 1:],
+                         gram_row(degrees[r], degrees[r + 1:]), r + 1)
 
 
 def check_parity_row(labels, k, row, degrees):
@@ -396,15 +397,17 @@ def check_parity_row(labels, k, row, degrees):
     lambda_kt and (d_k, d_t) differ mod 2, named as in the upper triangle.
     Lambda is skew and the form symmetric, so the rows in label order scan
     the upper triangle in order: row k revisits only entries rows before
-    it passed.  The constructor's full check scans every row this way."""
+    it passed.  The constructor's full check therefore scans only the
+    entries right of the diagonal, row by row: a mismatch left of it
+    mirrors one found earlier, and the diagonal (0 against (d, d)) is even."""
     _scan_parity(labels, labels.index(k), row,
                  gram_row(degrees[k], [degrees[t] for t in labels]))
 
 
-def _scan_parity(labels, r, row, forms):
+def _scan_parity(labels, r, row, forms, start=0):
     """check_parity_row on row r of Lambda against row r of the Gram
-    matrix of the degrees."""
-    c = next(compress(count(), map(_odd_difference, row, forms)), None)
+    matrix of the degrees, each given from column start on."""
+    c = next(compress(count(start), map(_odd_difference, row, forms)), None)
     if c is not None:
         k, t = labels[r], labels[c]
         raise ParityError("lambda(%r,%r) and (d,d) parity mismatch"

@@ -246,12 +246,19 @@ def inversion_roots(datum, word):
     """The sequence beta_k = s_{i1}...s_{i_{k-1}} alpha_{i_k}.
 
     For a reduced word these are the distinct positive roots of Phi(w).
-    A non-reduced word shows up as a negative entry.
+    A non-reduced word shows up as a negative entry.  One pass carries the
+    images w(alpha_j) of the simple roots under the prefix w: beta_k is
+    the image of alpha_{i_k}, and appending s_i sends w(alpha_j) to
+    w(alpha_j) - a_ij w(alpha_i).
     """
-    word = tuple(word)
+    images = [datum.simple_root(j).coords for j in datum.indices]
     betas = []
-    for k, i in enumerate(word):
-        betas.append(apply_word(word[:k], datum.simple_root(i)))
+    for i in word:
+        r = datum.pos(i)
+        image = images[r]
+        betas.append(Root(datum, image))
+        images = [tuple(x - a * y for x, y in zip(old, image))
+                  for a, old in zip(datum.cartan[r], images)]
     return betas
 
 

@@ -1,12 +1,13 @@
 """Convex orders on positive roots and a brute-force convexity checker.
 
-Two constructions are provided: the slope order attached to an injective
-linear functional h (alpha < beta iff h(alpha)/ht(alpha) < h(beta)/ht(beta))
-and the order adapted to a reduced word.  In finite type the convex orders
-are exactly the inversion sequences of reduced words of w0 (Papi, Proc. AMS
-1994), so the word is extended letter by letter to a reduced word of w0 and
-the order is the inversion chain beta_1 < ... < beta_N of the extension:
-the word's own chain first, the rest of the positive roots above it.
+An order is a tuple of roots, lowest first.  Two constructions are
+provided: the slope order attached to an injective linear functional h
+(alpha < beta iff h(alpha)/ht(alpha) < h(beta)/ht(beta)) and the order
+adapted to a reduced word.  In finite type the convex orders are exactly
+the inversion sequences of reduced words of w0 (Papi, Proc. AMS 1994), so
+the word is extended letter by letter to a reduced word of w0 and the
+order is the inversion chain beta_1 < ... < beta_N of the extension: the
+word's own chain first, the rest of the positive roots above it.
 
 The checker verifies the two cone-separation axioms of a convex (pre)order
 on a finite root set by exhaustive small-coefficient search; it is meant as
@@ -18,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .rootdata import Root, apply_word, inversion_roots, is_reduced, positive_roots
+from qfold.rootdata import Root, apply_word, inversion_roots, is_reduced, positive_roots
 
 
 class ConvexOrderError(ValueError):
@@ -43,60 +44,28 @@ class ConvexityViolation:
                 % (self.condition, self.pivot.coords, self.multiple, combo))
 
 
-class ConvexOrder:
-    """A total-order comparator on positive roots with provenance."""
-
-    def __init__(self, datum, kind, slope_key=None, chain=None):
-        self.datum = datum
-        self.kind = kind
-        self._slope_key = slope_key or _not_in_chain
-        self.chain = tuple(chain) if chain else None
-        self._chain_pos = ({r: k for k, r in enumerate(chain)} if chain else {})
-
-    def compare(self, a: Root, b: Root) -> int:
-        if a == b:
-            return 0
-        in_a, in_b = a in self._chain_pos, b in self._chain_pos
-        if in_a and in_b:
-            return -1 if self._chain_pos[a] < self._chain_pos[b] else 1
-        if in_a:
-            return -1
-        if in_b:
-            return 1
-        ka, kb = self._slope_key(a), self._slope_key(b)
-        if ka == kb:
-            raise FunctionalTieError(
-                "functional not injective: roots %s and %s share slope %s"
-                % (a.coords, b.coords, ka))
-        return -1 if ka < kb else 1
-
-    def sort(self, roots):
-        import functools
-        return sorted(roots, key=functools.cmp_to_key(self.compare))
-
-
-def _not_in_chain(root):
-    raise ConvexOrderError("root %s not in the explicit chain" % (root.coords,))
-
-
 def _slope(h, root):
     value = sum(Fraction(hc) * c for hc, c in zip(h, root.coords))
     return value / root.height()
 
 
-def order_from_functional(datum, h) -> ConvexOrder:
-    """Slope order from a rational functional given on the simple roots.
-
-    Injectivity is checked lazily; a tie between distinct roots raises
-    FunctionalTieError at comparison time.
-    """
+def order_from_functional(datum, h) -> tuple:
+    """The positive roots in the slope order of a rational functional given
+    on the simple roots; FunctionalTieError when two of them share a slope."""
     h = tuple(Fraction(x) for x in h)
     if len(h) != datum.rank:
         raise ValueError("functional length does not match rank")
-    return ConvexOrder(datum, "functional", slope_key=lambda r: _slope(h, r))
+    slope = {r: _slope(h, r) for r in positive_roots(datum)}
+    order = tuple(sorted(slope, key=slope.get))
+    for a, b in zip(order, order[1:]):
+        if slope[a] == slope[b]:
+            raise FunctionalTieError(
+                "functional not injective: roots %s and %s share slope %s"
+                % (a.coords, b.coords, slope[a]))
+    return order
 
 
-def order_from_word(datum, word) -> ConvexOrder:
+def order_from_word(datum, word) -> tuple:
     """The convex order adapted to a reduced word.
 
     The word is extended to a reduced word of w0 by appending, one letter at
@@ -112,12 +81,7 @@ def order_from_word(datum, word) -> ConvexOrder:
     for _ in range(len(positive_roots(datum)) - len(word)):
         word += (next(i for i in datum.indices
                       if apply_word(word, datum.simple_root(i)).is_positive()),)
-    return ConvexOrder(datum, "word", chain=inversion_roots(datum, word))
-
-
-def order_from_chain(datum, roots) -> ConvexOrder:
-    """An explicit order given by a full list (useful as a negative control)."""
-    return ConvexOrder(datum, "explicit", chain=list(roots))
+    return tuple(inversion_roots(datum, word))
 
 
 def _in_nonneg_span(target, generators, memo):
@@ -159,7 +123,7 @@ def _bounded_combinations(generators, bound):
             yield coeffs, vec
 
 
-def check_convexity(order: ConvexOrder, roots, bound=None):
+def check_convexity(order, roots, bound=None):
     """Search for a violation of the two convexity axioms on a finite root set.
 
     For every pivot root the integer cone of the roots strictly above it
@@ -173,11 +137,13 @@ def check_convexity(order: ConvexOrder, roots, bound=None):
         return None
     if bound is None:
         bound = max(r.height() for r in roots)
+    position = {r: k for k, r in enumerate(order)}
     for pivot in roots:
-        above = [r for r in roots if order.compare(r, pivot) > 0]
-        below_eq = [r for r in roots if order.compare(r, pivot) <= 0]
-        below = [r for r in roots if order.compare(r, pivot) < 0]
-        above_eq = [r for r in roots if order.compare(r, pivot) >= 0]
+        at = position[pivot]
+        above = [r for r in roots if position[r] > at]
+        below_eq = [r for r in roots if position[r] <= at]
+        below = [r for r in roots if position[r] < at]
+        above_eq = [r for r in roots if position[r] >= at]
         for condition, x_side, cone_side in (
                 (1, above, below_eq), (2, below, above_eq)):
             if not x_side:

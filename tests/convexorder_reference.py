@@ -1,12 +1,12 @@
 """Reference construction: the word-adapted convex order by a separating
-functional, which qfold.convexorder.order_from_word replaces.
+functional, which convexorder.order_from_word replaces.
 
 The word's inversion chain comes first; the complement of the inversion
 set sits above it, in the slope order of a functional h that is negative
 exactly on the inversion set, found by a seeded random search.  The
 function bodies are kept as they were before the order came from Papi's
-correspondence, except that the order no longer records h; they serve
-only the differential test (test_convexorder.py).
+correspondence, except that the order is returned as a tuple of roots,
+lowest first; they serve only the differential test (test_convexorder.py).
 """
 
 from __future__ import annotations
@@ -14,11 +14,11 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from qfold.convexorder import ConvexOrder, ConvexOrderError, _slope
+from convexorder import ConvexOrderError, _slope
 from qfold.rootdata import apply_word, inversion_roots, is_reduced, positive_roots
 
 
-def order_from_word(datum, word) -> ConvexOrder:
+def order_from_word(datum, word) -> tuple:
     """The convex order adapted to a reduced word.
 
     Inside the inversion set the order is the beta-chain; the inversion set
@@ -39,9 +39,9 @@ def order_from_word(datum, word) -> ConvexOrder:
         h = _pullback_through_word(datum, word, g)
         slopes = [_slope(h, r) for r in allpos]
         if len(set(slopes)) == len(allpos):
-            return ConvexOrder(datum, "word",
-                               slope_key=lambda r, h=h: _slope(h, r),
-                               chain=chain)
+            rest = sorted((r for r in allpos if r not in chain),
+                          key=lambda r: _slope(h, r))
+            return tuple(chain + rest)
     raise ConvexOrderError("could not find an injective separating functional")
 
 

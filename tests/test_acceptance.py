@@ -13,10 +13,10 @@ import time
 from functools import lru_cache
 
 from classical_mutation import classical_mutate, cl_generator
+from convexorder import check_convexity, order_from_word
 from pair_generators import random_compatible_pair
 from test_initquiver import WILD, WILD_ARROWS, WILD_WORD
 
-from qfold.convexorder import check_convexity, order_from_word
 from qfold.initquiver import build_initial_quiver, initial_pair, resolve_word
 from qfold.laurent import ONE, LaurentScalar, q_factorial
 from qfold.qcluster import (

@@ -7,11 +7,10 @@ import random
 import pytest
 
 import convexorder_reference
-from qfold.convexorder import (
+from convexorder import (
     ConvexOrderError,
     FunctionalTieError,
     check_convexity,
-    order_from_chain,
     order_from_functional,
     order_from_word,
 )
@@ -39,30 +38,23 @@ def a2_roots():
 
 def test_functional_order_a2():
     a1, a2, a12 = a2_roots()
-    order = order_from_functional(A2, (0, 1))
-    assert order.sort([a2, a12, a1]) == [a1, a12, a2]
-    assert order.compare(a12, a12) == 0
+    assert order_from_functional(A2, (0, 1)) == (a1, a12, a2)
 
 
 def test_functional_tie_is_an_error():
-    a1, a2, _ = a2_roots()
-    order = order_from_functional(A2, (1, 1))
     with pytest.raises(FunctionalTieError):
-        order.compare(a1, a2)
+        order_from_functional(A2, (1, 1))
 
 
 def test_word_order_a2_full_inversion_set():
     a1, a2, a12 = a2_roots()
-    order = order_from_word(A2, (1, 2, 1))
-    assert order.sort([a2, a12, a1]) == [a1, a12, a2]
-    assert order.chain == (a1, a12, a2)
+    assert order_from_word(A2, (1, 2, 1)) == (a1, a12, a2)
 
 
 def test_word_order_single_letter():
     a1, a2, a12 = a2_roots()
     order = order_from_word(A2, (1,))
-    assert order.compare(a1, a2) == -1
-    assert order.compare(a1, a12) == -1
+    assert order[0] == a1 and set(order) == {a1, a2, a12}
 
 
 def test_word_order_complement_separation():
@@ -70,8 +62,7 @@ def test_word_order_complement_separation():
     a1 = A3.simple_root(1)
     a12 = A3.simple_root(1) + A3.simple_root(2)
     a3 = A3.simple_root(3)
-    assert order.compare(a1, a12) == -1
-    assert order.compare(a3, a12) == 1
+    assert order.index(a1) < order.index(a12) < order.index(a3)
 
 
 def test_word_order_rejects_non_reduced():
@@ -81,7 +72,7 @@ def test_word_order_rejects_non_reduced():
 
 def test_check_convexity_accepts_good_order():
     a1, a2, a12 = a2_roots()
-    order = order_from_chain(A2, [a1, a12, a2])
+    order = (a1, a12, a2)
     assert check_convexity(order, [a1, a12, a2]) is None
     assert check_convexity(order, [a1]) is None
 
@@ -89,12 +80,10 @@ def test_check_convexity_accepts_good_order():
 def test_check_convexity_finds_violation():
     # The sum above both summands breaks the cone-separation axioms.
     a1, a2, a12 = a2_roots()
-    order = order_from_chain(A2, [a1, a2, a12])
-    violation = check_convexity(order, [a1, a2, a12])
+    violation = check_convexity((a1, a2, a12), [a1, a2, a12])
     assert violation is not None
     assert violation.condition in (1, 2)
-    assert check_convexity(order_from_chain(A2, [a2, a1, a12]),
-                           [a1, a2, a12]) is not None
+    assert check_convexity((a2, a1, a12), [a1, a2, a12]) is not None
 
 
 def test_functional_orders_convex_rank_le_3():
@@ -105,9 +94,8 @@ def test_functional_orders_convex_rank_le_3():
         done = 0
         while done < 3:
             h = tuple(rng.randint(-20, 20) for _ in range(rank))
-            order = order_from_functional(datum, h)
             try:
-                order.sort(roots)
+                order = order_from_functional(datum, h)
             except FunctionalTieError:
                 continue
             assert check_convexity(order, roots) is None, (family, rank, h)
@@ -119,7 +107,7 @@ def test_word_orders_convex_rank_le_3():
         datum = cartan_datum(family, rank)
         roots = positive_roots(datum)
         order = order_from_word(datum, longest_word(datum))
-        assert order.sort(roots)[: len(order.chain)] == list(order.chain)
+        assert sorted(order, key=roots.index) == roots
         assert check_convexity(order, roots) is None, (family, rank)
 
 
@@ -163,14 +151,13 @@ def test_word_orders_match_the_separating_functional(family, rank, slow,
         order = order_from_word(datum, word)
         reference = convexorder_reference.order_from_word(datum, word)
         for each in (order, reference):
-            assert each.kind == "word"
-            assert each.sort(roots)[:k] == prefix_chain, (word, each)
+            assert sorted(each, key=roots.index) == roots, (word, each)
+            assert list(each[:k]) == prefix_chain, (word, each)
             assert check_convexity(each, roots) is None, (word, each)
-        extended = _word_of_chain(datum, order.chain)
+        extended = _word_of_chain(datum, order)
         assert extended[:k] == word and len(extended) == len(roots)
         assert is_reduced(datum, extended)
-        assert list(order.chain) == inversion_roots(datum, extended)
-        assert order.sort(roots) == list(order.chain)
+        assert list(order) == inversion_roots(datum, extended)
 
 
 def test_word_chain_check_catches_a_foreign_order():

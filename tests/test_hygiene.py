@@ -79,8 +79,8 @@ def test_scan_catches_an_unused_import(tmp_path):
 
 
 # Modules whose arithmetic is exact over int/Fraction coefficients: true
-# division and float literals have no place there.  rootdata and
-# convexorder divide Fractions on purpose and are not scanned.
+# division and float literals have no place there.  rootdata divides
+# Fractions on purpose and is not scanned.
 EXACT_MODULES = ("laurent.py", "uqn.py", "qcluster.py", "verify.py")
 
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from scalar_parser import parse_scalar
 from qfold.laurent import (
     ONE,
     ZERO,
@@ -16,7 +17,6 @@ from qfold.laurent import (
     LaurentScalar,
     bar,
     exact_int,
-    parse_scalar,
     q_binomial,
     q_factorial,
     q_int,

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pair_generators import random_compatible_pair
-from qfold.laurent import ONE, parse_scalar
+from scalar_parser import parse_scalar
+from qfold.laurent import ONE
 from qfold.qcluster import (
     CompatiblePair,
     CompatibilityError,

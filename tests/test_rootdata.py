@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -83,6 +84,22 @@ def test_inversion_roots_a2():
     assert inversion_roots(A2, (1, 2, 1)) == [a1, a1 + a2, a2]
     assert inversion_roots(A2, (1,)) == [a1]
     assert inversion_roots(A2, (1, 1)) == [a1, -a1]
+
+
+@pytest.mark.parametrize("datum", [
+    A3, cartan_datum("B", 3), G2,
+    CartanDatum((1, 2), ((2, -2), (-2, 2)), (1, 1)),
+    CartanDatum((1, 2), ((2, -1), (-4, 2)), (4, 1))],
+    ids=["A3", "B3", "G2", "affine-A1", "A2(2)"])
+def test_inversion_roots_match_their_definition(datum):
+    # Differential: the one-pass images against beta_k = s_{i1}...s_{i_{k-1}}
+    # alpha_{i_k} applied from scratch, for every word of length <= 6,
+    # reduced or not, in finite and affine type.
+    for length in range(7):
+        for word in itertools.product(datum.indices, repeat=length):
+            assert inversion_roots(datum, word) == [
+                apply_word(word[:k], datum.simple_root(i))
+                for k, i in enumerate(word)], word
 
 
 def test_is_reduced():

@@ -7,8 +7,9 @@ import random
 
 import pytest
 
+from scalar_parser import parse_scalar
 from qfold import uqn
-from qfold.laurent import ONE, ZERO, LaurentScalar, parse_scalar, q_factorial
+from qfold.laurent import ONE, ZERO, LaurentScalar, q_factorial
 from qfold.rootdata import (
     CartanDatum,
     Weight,

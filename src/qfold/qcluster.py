@@ -18,9 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from bisect import insort
 from functools import cached_property
 from itertools import compress, count
 from operator import add, mul, neg
+from typing import NamedTuple
 
 from .laurent import (
     ONE,
@@ -88,13 +90,22 @@ class CompatiblePair:
 def check_compatible(pair: CompatiblePair):
     """Verify Lambda B = -2E; returns {exchangeable label: e > 0}.
 
+    Column t of Lambda B is the sum of b_it times column i of Lambda over
+    the nonzero b_it only; the entries are then checked row by row.
     Raises CompatibilityError naming the first failing entry.
     """
-    columns = tuple(zip(*pair.b))
+    lam_columns = tuple(zip(*pair.lam))
+    zero = (0,) * len(pair.labels)
+    products = []
+    for column in zip(*pair.b):
+        product = zero
+        for b, lam_column in zip(column, lam_columns):
+            if b:
+                product = map(add, product, _scaled(b, lam_column))
+        products.append(product)
     e = {}
-    for s, row in zip(pair.labels, pair.lam):
-        for t, column in zip(pair.exchangeable, columns):
-            value = sum(map(mul, row, column))
+    for s, row in zip(pair.labels, zip(*products)):
+        for t, value in zip(pair.exchangeable, row):
             if s == t:
                 if value >= 0 or value % 2:
                     raise CompatibilityError(
@@ -108,20 +119,23 @@ def check_compatible(pair: CompatiblePair):
     return e
 
 
-def mutate_pair(pair: CompatiblePair, k) -> CompatiblePair:
+def mutate_pair(pair: CompatiblePair, k, new_row=None) -> CompatiblePair:
     """Mutation of a compatible pair in an exchangeable direction.
 
     B mutates by the standard matrix-mutation rule (the last factor is
     |b_kj|; the printed rule with |b_ij| fails involutivity).  Lambda
     mutates by lambda'_kt = -lambda_kt + sum_i max(b_ik, 0) lambda_it,
     extended by skew-symmetry; both preserve compatibility with the same E.
+    new_row is that row k of Lambda when the caller has it already
+    (mutation_step's row); without it, mutated_lambda_row computes it.
     """
     if k not in pair.exchangeable:
         raise KeyError("direction %r is not exchangeable" % (k,))
     kp = pair.pos(k)
     kc = pair.ex_pos(k)
     column = [row[kc] for row in pair.b]
-    new_row = mutated_lambda_row(pair, k)
+    if new_row is None:
+        new_row = mutated_lambda_row(pair, k)
     lam = [list(row) for row in pair.lam]
     lam[kp] = new_row
     for row, value in zip(lam, new_row):
@@ -386,10 +400,20 @@ class QuantumSeed:
                                            for r, s in enumerate(ex)})
             object.__setattr__(self, "table", {
                 g[s]: (self.degrees[s], self.variables[s]) for s in labels})
+        # Row 0's gram_row type-checks every degree; the later rows pair
+        # the memoized images directly.
         degrees = [self.degrees[s] for s in labels]
         for r, row in enumerate(self.pair.lam):
-            _scan_parity(labels, r, row[r + 1:],
-                         gram_row(degrees[r], degrees[r + 1:]), r + 1)
+            forms = (gram_row(degrees[0], degrees[1:]) if r == 0
+                     else _pairings(degrees[r], degrees[r + 1:]))
+            _scan_parity(labels, r, row[r + 1:], forms, r + 1)
+
+
+def _pairings(u, roots):
+    """gram_row(u, roots) without its type check, for degrees that passed
+    it."""
+    image = u.datum.pairing_image(u.coords)
+    return [sum(map(mul, v.coords, image)) for v in roots]
 
 
 def check_parity_row(labels, k, row, degrees):
@@ -480,18 +504,23 @@ def bar_defect(x):
 
 def exchange_monomials(pair: CompatiblePair, k):
     """(a+, a-, e_k) of direction k: the positive and negative parts of
-    column k of B as {label: exponent}, and e_k from Lambda B = -2E.  Raises
+    column k of B as {label: exponent}, and e_k (see _exchange_column)."""
+    column, e_k = _exchange_column(pair, k)
+    a_plus, a_minus = {}, {}
+    for t, b in zip(pair.labels, column):
+        a_plus[t] = b if b > 0 else 0
+        a_minus[t] = -b if b < 0 else 0
+    return a_plus, a_minus, e_k
+
+
+def _exchange_column(pair: CompatiblePair, k):
+    """(column k of B, e_k from Lambda B = -2E) of direction k.  Raises
     CompatibilityError or, for a frozen direction, KeyError."""
     e = pair.e
     if k not in e:
         raise KeyError("direction %r is frozen" % (k,))
     kc = pair.ex_pos(k)
-    a_plus, a_minus = {}, {}
-    for t, row in zip(pair.labels, pair.b):
-        b = row[kc]
-        a_plus[t] = b if b > 0 else 0
-        a_minus[t] = -b if b < 0 else 0
-    return a_plus, a_minus, e[k]
+    return [row[kc] for row in pair.b], e[k]
 
 
 def exchange_rhs(seed: QuantumSeed, k):
@@ -525,9 +554,10 @@ def mutated_variable(seed: QuantumSeed, k):
     return new_var
 
 
-def tropical_mutation(seed: QuantumSeed, k):
-    """The g- and c-vectors of the seed mutated in direction k
-    (Nakanishi-Zelevinsky, "On tropical dualities in cluster algebras").
+def mutated_g_vector(seed: QuantumSeed, k):
+    """(g'_k, eps) of the seed mutated in direction k: the tropical
+    mutation of Nakanishi-Zelevinsky ("On tropical dualities in cluster
+    algebras"), whose c-vector half is mutated_c_vectors.
 
     With eps the sign of c_k, g'_k = -g_k + sum_i [-eps b_ik]_+ g_i and
     c'_j = c_j + [eps b_kj]_+ c_k for j != k, c'_k = -c_k; the other
@@ -535,72 +565,92 @@ def tropical_mutation(seed: QuantumSeed, k):
     sum_j [-eps c_jk]_+ b0_j (b0 the initial B); that term vanishes because
     c_k is sign-coherent (Gross-Hacking-Keel-Kontsevich), which is checked.
     """
-    pair = seed.pair
     ck = seed.c[k]
     if min(ck) < 0 < max(ck) or not any(ck):
         raise CompatibilityError("c-vector of %r is not sign-coherent" % (k,))
     eps = 1 if max(ck) > 0 else -1
-    kc = pair.ex_pos(k)
+    kc = seed.pair.ex_pos(k)
     gk = map(neg, seed.g[k])
-    for s, row in zip(pair.labels, pair.b):
+    for s, row in zip(seed.pair.labels, seed.pair.b):
         weight = -eps * row[kc]
         if weight > 0:
             gk = map(add, gk, _scaled(weight, seed.g[s]))
-    g = dict(seed.g)
-    g[k] = tuple(gk)
+    return tuple(gk), eps
+
+
+def mutated_c_vectors(seed: QuantumSeed, k, eps) -> dict:
+    """The c-vectors of the seed mutated in direction k, with eps the sign
+    of c_k (see mutated_g_vector)."""
+    ck = seed.c[k]
     c = dict(seed.c)
     c[k] = tuple(map(neg, ck))
-    for j, bkj in zip(pair.exchangeable, pair.b[pair.pos(k)]):
+    for j, bkj in zip(seed.pair.exchangeable, seed.pair.b[seed.pair.pos(k)]):
         weight = eps * bkj
         if weight > 0 and j != k:
             c[j] = tuple(map(add, seed.c[j], _scaled(weight, ck)))
-    return g, c
+    return c
 
 
-def mutation_step(seed: QuantumSeed, k):
-    """Every check of the mutation in direction k, without building the
-    mutated seed; returns its (degrees, variables, g, c).  In order: the
-    seed's compatibility (pair.e; a frozen direction is a KeyError), the
-    degree rule deg(Y^{a+}) - deg(Y_k), tropical_mutation with its sign
-    check, the variable of g-vector g'_k in the seed's table (a hit checks
-    its stored degree, a miss runs mutated_variable and stores the result
-    with its degree), and check_parity_row on the new row k of Lambda.
-    That row gives the mutated seed's parity verdict and first mismatch:
-    the seed passed the full check when it was built, and mutation changes
-    only row and column k and degree k."""
-    a_plus, _, _ = exchange_monomials(seed.pair, k)
+class MutationStep(NamedTuple):
+    """What an edge in direction k hands to the build of the mutated
+    seed: the new row k of Lambda, degree of k, variable of k and g-vector
+    g'_k, and eps, the sign of c_k."""
+
+    k: object
+    row: list
+    degree: Root
+    variable: object
+    g: tuple
+    eps: int
+
+
+def mutation_step(seed: QuantumSeed, k) -> MutationStep:
+    """Every check of the mutation in direction k, with none of the work
+    that only the mutated seed needs.  In order: the seed's compatibility
+    (pair.e; a frozen direction is a KeyError), the degree rule
+    deg(Y^{a+}) - deg(Y_k), the sign check of mutated_g_vector, the
+    variable of g-vector g'_k in the seed's table (a hit checks its stored
+    degree, a miss runs mutated_variable and stores the result with its
+    degree), and check_parity_row on the new row k of Lambda.  That row
+    gives the mutated seed's parity verdict and first mismatch: the seed
+    passed the full check when it was built, and mutation changes only row
+    and column k and degree k."""
+    column, _ = _exchange_column(seed.pair, k)
     row = mutated_lambda_row(seed.pair, k)
-    degrees = dict(seed.degrees)
     degree = map(neg, seed.degrees[k].coords)
-    for t, a in a_plus.items():
-        if a:
-            degree = map(add, degree, _scaled(a, seed.degrees[t].coords))
-    degrees[k] = Root(seed.degrees[k].datum, tuple(degree))
-    g, c = tropical_mutation(seed, k)
-    entry = seed.table.get(g[k])
+    for t, b in zip(seed.pair.labels, column):
+        if b > 0:
+            degree = map(add, degree, _scaled(b, seed.degrees[t].coords))
+    degree = Root(seed.degrees[k].datum, tuple(degree))
+    gk, eps = mutated_g_vector(seed, k)
+    entry = seed.table.get(gk)
     if entry is None:
-        entry = seed.table[g[k]] = (degrees[k], mutated_variable(seed, k))
-    elif entry[0] != degrees[k]:
+        entry = seed.table[gk] = (degree, mutated_variable(seed, k))
+    elif entry[0] != degree:
         raise CompatibilityError(
             "variable of g-vector %r has degree %r, expected %r"
-            % (g[k], entry[0], degrees[k]))
-    variables = dict(seed.variables)
-    variables[k] = entry[1]
-    check_parity_row(seed.pair.labels, k, row, degrees)
-    return degrees, variables, g, c
+            % (gk, entry[0], degree))
+    check_parity_row(seed.pair.labels, k, row, {**seed.degrees, k: degree})
+    return MutationStep(k, row, degree, entry[1], gk, eps)
 
 
 def mutate_seed(seed: QuantumSeed, k) -> QuantumSeed:
     """Quantum seed mutation: the checks of mutation_step, then the
-    mutated pair of mutate_pair and the mutated seed, whose constructor
-    runs the full parity check."""
-    return _built_seed(seed, k, mutation_step(seed, k))
+    mutated seed of _built_seed, whose constructor runs the full parity
+    check."""
+    return _built_seed(seed, mutation_step(seed, k))
 
 
-def _built_seed(seed, k, step):
-    degrees, variables, g, c = step
-    return QuantumSeed(mutate_pair(seed.pair, k), degrees, variables,
-                       seed.unit, g, c, seed.table)
+def _built_seed(seed, step):
+    """The seed of a checked mutation_step: the mutated pair (from the
+    step's row of Lambda), the step's degree, variable and g-vector in
+    place of k's, and the mutated c-vectors."""
+    k = step.k
+    return QuantumSeed(mutate_pair(seed.pair, k, step.row),
+                       {**seed.degrees, k: step.degree},
+                       {**seed.variables, k: step.variable}, seed.unit,
+                       {**seed.g, k: step.g},
+                       mutated_c_vectors(seed, k, step.eps), seed.table)
 
 
 def specialize_classical(x: TorusElement) -> dict:
@@ -660,36 +710,40 @@ def enumerate_exchange_graph(seed: QuantumSeed, bound: int = 1000) -> ExchangeGr
     mutation_step, and only the seeds the graph stores are built.
 
     Seeds are keyed by the sorted g-vectors of their exchangeable
-    variables, so each cluster is stored once.  Once `bound` seeds are
+    variables, so each cluster is stored once; an edge's key is its
+    source's with g_k taken out and g'_k put in.  Once `bound` seeds are
     stored, no new seed is stored: an edge to a seed that is not stored
     is dropped and the graph is flagged incomplete.
     """
     ex = seed.pair.exchangeable
     seeds = [seed]
-    index = {_cluster_key(seed.g, ex): 0}
+    keys = [tuple(sorted(seed.g[s] for s in ex))]
+    index = {keys[0]: 0}
     edges = []
     frontier = [0]
     complete = True
     while frontier:
         new_frontier = []
         for src in frontier:
+            source = seeds[src]
             for k in ex:
-                step = mutation_step(seeds[src], k)
-                key = _cluster_key(step[2], ex)
-                if key not in index:
+                step = mutation_step(source, k)
+                key = list(keys[src])
+                key.remove(source.g[k])
+                insort(key, step.g)
+                key = tuple(key)
+                target = index.get(key)
+                if target is None:
                     if len(seeds) >= bound:
                         complete = False
                         continue
-                    index[key] = len(seeds)
-                    seeds.append(_built_seed(seeds[src], k, step))
-                    new_frontier.append(index[key])
-                edges.append((src, k, index[key]))
+                    target = index[key] = len(seeds)
+                    seeds.append(_built_seed(source, step))
+                    keys.append(key)
+                    new_frontier.append(target)
+                edges.append((src, k, target))
         frontier = new_frontier
     return ExchangeGraph(seeds, edges, complete)
-
-
-def _cluster_key(g, exchangeable):
-    return tuple(sorted(g[s] for s in exchangeable))
 
 
 def torus_to_json(x: TorusElement) -> dict:

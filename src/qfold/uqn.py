@@ -61,14 +61,17 @@ class FWord:
 class OracleContext:
     """Memo tables for the Shapovalov engine and the realized minors (by
     (lambda, lambda - mu, lambda - eta), whatever words reach mu and eta),
-    one per Cartan datum.  A verify call makes one per datum
-    and shares it across its checks; nothing outlives the call."""
+    one per Cartan datum, and the complete exchange graphs that
+    verify.realized_exchange_graph realizes over it.  A verify call makes
+    one per datum and shares it across its checks; nothing outlives the
+    call."""
 
     def __init__(self, datum):
         self.datum = datum
         self._e_apply = {}
         self._pair = {}
         self._minors = {}
+        self.graphs = {}
 
     # -- E-action on F-words -------------------------------------------
 

@@ -340,12 +340,27 @@ def realized_exchange_graph(datum, word, quiver=None, bound=200,
     """The seeds of the exchange graph of oracle_seed_data's seed, in
     enumerate_exchange_graph's order: its cluster variables are shuffle
     elements, each computed once by the exchange step mutated_variable.
-    Raises RuntimeError when the graph has more than `bound` seeds."""
-    graph = enumerate_exchange_graph(
-        oracle_seed_data(datum, word, quiver, context), bound)
-    if not graph.complete:
+    Raises RuntimeError when the graph has more than `bound` seeds.
+
+    A complete graph is kept in context.graphs, keyed by the word (its
+    letters resolved as initial_pair resolves them) and the quiver, so one
+    verify call realizes each graph once; a later lookup raises as the
+    enumeration would, when the stored graph has more seeds than its bound
+    (the initial seed is stored whatever the bound)."""
+    graphs = {} if context is None else context.graphs
+    key = (resolve_word(datum, word, quiver), None if quiver is None else (
+        quiver.vertices, quiver.edges,
+        frozenset(quiver.automorphism.items())))
+    seeds = graphs.get(key)
+    if seeds is None:
+        graph = enumerate_exchange_graph(
+            oracle_seed_data(datum, word, quiver, context), bound)
+        if not graph.complete:
+            raise RuntimeError("exchange graph exceeded bound")
+        seeds = graphs[key] = graph.seeds
+    elif len(seeds) > max(bound, 1):
         raise RuntimeError("exchange graph exceeded bound")
-    return graph.seeds
+    return seeds
 
 
 def check_word_independence(input_spec, word1, word2, bound=200,

@@ -3,15 +3,25 @@ versions that qfold.rootdata and qfold.qcluster replace.
 
 gram_row sends its first root to its pairings on every call, and every
 vector is built entry by entry or through Root arithmetic.  The function
-bodies are kept as they were before the pairing images were memoized;
-they serve only the differential test (test_edge_kernels.py).
+bodies are kept as they were before the pairing images were memoized.
+mutation_step returns the mutated seed's whole (degrees, variables, g, c),
+built_seed builds it with mutate_pair computing the new row of Lambda
+again, and check_compatible sums every entry of Lambda B over the whole
+B column, as before the edge handed a step record to the build.  They
+serve only the differential test (test_edge_kernels.py).
 """
 
 from __future__ import annotations
 
 from operator import mul
 
-from qfold.qcluster import CompatibilityError, ParityError, mutated_variable
+from qfold.qcluster import (
+    CompatibilityError,
+    ParityError,
+    QuantumSeed,
+    mutate_pair,
+    mutated_variable,
+)
 from qfold.rootdata import Root
 
 
@@ -53,6 +63,25 @@ def check_parity(labels, lam, degrees):
     """The QuantumSeed constructor's full parity check, row by row."""
     for s, row in zip(labels, lam):
         check_parity_row(labels, s, row, degrees)
+
+
+def check_compatible(pair):
+    columns = tuple(zip(*pair.b))
+    e = {}
+    for s, row in zip(pair.labels, pair.lam):
+        for t, column in zip(pair.exchangeable, columns):
+            value = sum(map(mul, row, column))
+            if s == t:
+                if value >= 0 or value % 2:
+                    raise CompatibilityError(
+                        "diagonal entry for %r is %d, expected negative even"
+                        % (t, value), entry=(s, t), value=value)
+                e[t] = -value // 2
+            elif value != 0:
+                raise CompatibilityError(
+                    "off-diagonal entry (%r, %r) is %d, expected 0"
+                    % (s, t, value), entry=(s, t), value=value)
+    return e
 
 
 def exchange_monomials(pair, k):
@@ -106,7 +135,7 @@ def tropical_mutation(seed, k):
 
 def mutation_step(seed, k):
     """qcluster.mutation_step over the kernels above, checks in the same
-    order."""
+    order, returning the mutated seed's (degrees, variables, g, c)."""
     a_plus, _, _ = exchange_monomials(seed.pair, k)
     row = mutated_lambda_row(seed.pair, k)
     degrees = dict(seed.degrees)
@@ -123,3 +152,15 @@ def mutation_step(seed, k):
     variables[k] = entry[1]
     check_parity_row(seed.pair.labels, k, row, degrees)
     return degrees, variables, g, c
+
+
+def built_seed(seed, k, step):
+    """The mutated seed of a mutation_step; mutate_pair, called without
+    the step's row, computes row k of Lambda again."""
+    degrees, variables, g, c = step
+    return QuantumSeed(mutate_pair(seed.pair, k), degrees, variables,
+                       seed.unit, g, c, seed.table)
+
+
+def mutate_seed(seed, k):
+    return built_seed(seed, k, mutation_step(seed, k))

@@ -2,8 +2,8 @@
 
 `data_cli_golden.json` holds the stdout, stderr and exit code of every
 command on three inputs (A2, A3 and C2 folded from A3), plus `verify`
-on the fast catalog, on both catalogs, on both with `--max-steps 5`, on
-one `cluster_monomials` check over the A3 w0 exchange graph, and on one
+on the fast catalog, on both catalogs, on both with `--max-steps 5` and
+with `--max-steps 1`, on one `cluster_monomials` check over the A3 w0 exchange graph, and on one
 inline list of checks that each fail; and `enumerate` with a `--max-steps`
 below 1, an input error.
 Regenerate it only for an intended output change:
@@ -52,6 +52,8 @@ def cases():
     out["verify --slow"] = (["verify", "--slow"], None)
     out["verify --slow --max-steps 5"] = (
         ["verify", "--slow", "--max-steps", "5"], None)
+    out["verify --slow --max-steps 1"] = (
+        ["verify", "--slow", "--max-steps", "1"], None)
     out["A3/verify cluster_monomials"] = (["verify"], {"checks": [
         {"check": "cluster_monomials", "input": {"type": ["A", 3]},
          "word": [1, 2, 1, 3, 2, 1], "max_exponent": 1}]})
@@ -117,8 +119,12 @@ def test_c2_type_enumerates_like_its_folded_quiver(tmp_path):
 def test_a4_enumerate_output_and_work(tmp_path, monkeypatch):
     # The benchmark's enumerate job at seed 0.  Its 4032 edges are all
     # checked, but only the 672 stored seeds are built: one compatibility
-    # check per seed, one exchange step per new variable.
-    calls = {"check_compatible": 0, "mutated_variable": 0, "seeds": 0}
+    # check per seed, one exchange step per new variable, one mutated pair
+    # per new seed.  Every edge computes its new row of Lambda once, and
+    # the build of the mutated pair takes that row from the edge.
+    names = ("check_compatible", "mutated_variable", "mutation_step",
+             "mutate_pair", "mutated_lambda_row")
+    calls = dict.fromkeys(names + ("seeds",), 0)
 
     def counted(name, fn):
         def wrapper(*args):
@@ -126,7 +132,7 @@ def test_a4_enumerate_output_and_work(tmp_path, monkeypatch):
             return fn(*args)
         return wrapper
 
-    for name in ("check_compatible", "mutated_variable"):
+    for name in names:
         monkeypatch.setattr(qcluster, name,
                             counted(name, getattr(qcluster, name)))
     monkeypatch.setattr(qcluster.QuantumSeed, "__post_init__",
@@ -141,7 +147,8 @@ def test_a4_enumerate_output_and_work(tmp_path, monkeypatch):
     assert (graph["seeds"], len(graph["edges"]),
             len(graph["cluster_variables"])) == (672, 4032, 40)
     assert calls == {"check_compatible": 672, "mutated_variable": 30,
-                     "seeds": 672}
+                     "mutation_step": 4032, "mutate_pair": 671,
+                     "mutated_lambda_row": 4032, "seeds": 672}
 
 
 if __name__ == "__main__":

@@ -1,10 +1,11 @@
 """Differential tests of the integer kernels of the exchange-graph edge
 against the row-by-row versions in edge_kernels_reference: the Gram rows
 and matrices of the degrees, the seed constructor's full parity check,
-Lambda's skew-symmetry check, the exchange monomials, the mutated row of
-Lambda, the tropical mutation and the whole mutation_step with its degree
-rule.  Results must be equal, and a failing check must raise the same
-exception type with the same message."""
+Lambda's skew-symmetry check, the compatibility check, the exchange
+monomials, the mutated row of Lambda, the tropical mutation, and the
+mutated seed that mutation_step and its build give, with the degree rule.
+Results must be equal, field by field for a seed, and a failing check
+must raise the same exception type with the same message."""
 
 from __future__ import annotations
 
@@ -20,13 +21,15 @@ from test_exchange_graph import G2_FROM_D4, _initial_seed
 from test_verify import C2_QUIVER
 from qfold.qcluster import (
     CompatiblePair,
+    check_compatible,
     check_parity_row,
     enumerate_exchange_graph,
     exchange_monomials,
     initial_seed,
+    mutate_seed,
+    mutated_c_vectors,
+    mutated_g_vector,
     mutated_lambda_row,
-    mutation_step,
-    tropical_mutation,
 )
 from qfold.rootdata import cartan_datum, gram_matrix, gram_row
 
@@ -52,19 +55,36 @@ def failure(fn, *args):
     return (kind, value) if kind else None
 
 
+def tropical_mutation(seed, k):
+    """The mutated (g, c) of mutated_g_vector and mutated_c_vectors."""
+    gk, eps = mutated_g_vector(seed, k)
+    return {**seed.g, k: gk}, mutated_c_vectors(seed, k, eps)
+
+
+def seed_fields(mutate, seed, k):
+    """The pair, degrees, variables, g- and c-vectors of mutate(seed, k)."""
+    mutated = mutate(seed, k)
+    return (mutated.pair, mutated.degrees, mutated.variables, mutated.g,
+            mutated.c)
+
+
 def assert_same_edge(seed, ref_seed, k):
-    """Every kernel of the edge from seed in direction k against the
-    reference on ref_seed, an equal seed with a table of its own."""
+    """Every kernel of the edge from seed in direction k, and the mutated
+    seed built from it, against the reference on ref_seed, an equal seed
+    with a table of its own."""
     labels = seed.pair.labels
     degrees = [seed.degrees[s] for s in labels]
     assert outcome(gram_row, seed.degrees[k], degrees) \
         == outcome(reference.gram_row, seed.degrees[k], degrees)
+    assert outcome(check_compatible, seed.pair) \
+        == outcome(reference.check_compatible, ref_seed.pair)
     for new, old in ((exchange_monomials, reference.exchange_monomials),
                      (mutated_lambda_row, reference.mutated_lambda_row)):
         assert outcome(new, seed.pair, k) == outcome(old, ref_seed.pair, k)
-    for new, old in ((tropical_mutation, reference.tropical_mutation),
-                     (mutation_step, reference.mutation_step)):
-        assert outcome(new, seed, k) == outcome(old, ref_seed, k)
+    assert outcome(tropical_mutation, seed, k) \
+        == outcome(reference.tropical_mutation, ref_seed, k)
+    assert outcome(seed_fields, mutate_seed, seed, k) \
+        == outcome(seed_fields, reference.mutate_seed, ref_seed, k)
 
 
 @settings(max_examples=200, deadline=None, database=None)
@@ -92,10 +112,23 @@ def test_kernels_match_reference_on_random_pairs(data):
 
     r, c = data.draw(st.tuples(st.integers(0, len(labels) - 1),
                                st.integers(0, len(labels) - 1)))
+    delta = data.draw(st.sampled_from([0, 1, -2]))
     lam = [list(row) for row in pair.lam]
-    lam[r][c] += data.draw(st.sampled_from([0, 1, -2]))
+    lam[r][c] += delta
     assert failure(CompatiblePair, labels, pair.exchangeable, lam, pair.b) \
         == failure(reference.check_skew, lam)
+    # The same change with its skew partner, or one changed entry of B,
+    # keeps the pair well formed and may break Lambda B = -2E.
+    if r != c:
+        lam[c][r] -= delta
+        skewed = CompatiblePair(labels, pair.exchangeable, lam, pair.b)
+        assert outcome(check_compatible, skewed) \
+            == outcome(reference.check_compatible, skewed)
+    b = [list(row) for row in pair.b]
+    b[r][c % len(pair.exchangeable)] += delta
+    changed = CompatiblePair(labels, pair.exchangeable, pair.lam, b)
+    assert outcome(check_compatible, changed) \
+        == outcome(reference.check_compatible, changed)
 
     parity = failure(reference.check_parity, labels, pair.lam, degrees)
     assert failure(initial_seed, pair, degrees) == parity
@@ -123,7 +156,8 @@ def test_kernels_match_reference_on_random_pairs(data):
 def test_kernels_match_reference_on_every_edge(input_spec, word):
     # Every direction of every seed, frozen ones included (a KeyError on
     # both sides).  The graph's table holds every variable, so
-    # mutation_step only reads it and both sides can share the seeds.
+    # mutation_step only reads it and both sides can share the seeds; each
+    # side builds its own mutated seed.
     graph = enumerate_exchange_graph(_initial_seed(input_spec, word))
     assert graph.complete
     for seed in graph.seeds:

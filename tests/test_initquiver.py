@@ -315,10 +315,11 @@ def test_position_permutation_check_catches_a_wrong_permutation():
 
 def fold_mismatches(folded, unfolded, orbits, sum_rows=False):
     """Where the unfolded pair fails to fold to the folded one: a B entry
-    b_ij with i, j in one orbit, or a folded b_IJ other than the sum of
-    b_ij over j in J for a representative i of I (with sum_rows, the wrong
-    convention: over i in I for a representative j of J).  Folded label K
-    is the position orbit orbits[K - 1]."""
+    b_ij with i, j in one orbit, a folded b_IJ other than the sum of b_ij
+    over j in J for a representative i of I (with sum_rows, the wrong
+    convention: over i in I for a representative j of J), or a folded
+    lambda_IJ other than the sum of lambda_ij over i in I and j in J.
+    Folded label K is the position orbit orbits[K - 1]."""
     found = [("inside", i, j) for orbit in orbits for i in orbit
              for j in orbit if j in unfolded.exchangeable
              and unfolded.b_entry(i, j)]
@@ -333,6 +334,14 @@ def fold_mismatches(folded, unfolded, orbits, sum_rows=False):
                         for i in rows]
             if any(x != folded.b_entry(big_i, big_j) for x in sums):
                 found.append(("sum", big_i, big_j))
+    # Lambda folds by the double sum; the sum over J alone, for each i in
+    # I, fails at every pair of the lockstep walks.
+    for big_i in folded.labels:
+        for big_j in folded.labels:
+            total = sum(unfolded.lam_entry(i, j) for i in orbits[big_i - 1]
+                        for j in orbits[big_j - 1])
+            if total != folded.lam_entry(big_i, big_j):
+                found.append(("lambda", big_i, big_j))
     return found
 
 
@@ -364,14 +373,16 @@ def lockstep_pairs(quiver, cap, unfolded=None):
 
 
 @pytest.mark.parametrize("name, cap, checked", [
-    ("C2/A3", 10, 6), ("G2/D4", 500, 1091), ("B3/A5", 500, 1543)])
+    ("C2/A3", 10, 6), ("G2/D4", 500, 1091), ("B3/A5", 500, 1543),
+    ("C3/D4", 500, 1543)])
 def test_orbit_mutation_upstairs_is_one_mutation_downstairs(name, cap,
                                                             checked):
     # Folding through mutation: mutating every position of an orbit of the
-    # unfolded pair keeps the orbits free of B entries and folds to the
-    # folded pair mutated once, at every pair the walk reaches.  C2/A3 is
-    # walked in full; the capped walks check the neighbours of the pairs
-    # they expand too, so they check more distinct pairs than the cap.
+    # unfolded pair keeps the orbits free of B entries and folds B and
+    # Lambda to the folded pair mutated once, at every pair the walk
+    # reaches.  C2/A3 is walked in full; the capped walks check the
+    # neighbours of the pairs they expand too, so they check more distinct
+    # pairs than the cap.
     pairs = set()
     for folded, unfolded, orbits in lockstep_pairs(FOLDINGS[name], cap):
         assert fold_mismatches(folded, unfolded, orbits) == [], \
@@ -382,8 +393,8 @@ def test_orbit_mutation_upstairs_is_one_mutation_downstairs(name, cap,
 
 def test_folding_check_fails_on_a_broken_unfolding():
     # Negative controls, each caught at the initial pair: one unfolded
-    # entry changed (with its skew partner) so that the unfolded B is no
-    # longer sigma-invariant, and rows summed instead of columns.
+    # entry of B, or of Lambda, changed (with its skew partner) so that it
+    # is no longer sigma-invariant, and B's rows summed instead of columns.
     quiver = FOLDINGS["C2/A3"]
     folded, unfolded, orbits = next(lockstep_pairs(quiver, 1))
     assert fold_mismatches(folded, unfolded, orbits) == []
@@ -395,6 +406,13 @@ def test_folding_check_fails_on_a_broken_unfolding():
                             unfolded.lam, b)
     walk = lockstep_pairs(quiver, 1, broken)
     assert fold_mismatches(*next(walk)) == [("sum", 1, 2), ("sum", 2, 1)]
+    lam = [list(row) for row in unfolded.lam]
+    lam[unfolded.pos(1)][unfolded.pos(2)] += 1
+    lam[unfolded.pos(2)][unfolded.pos(1)] -= 1
+    broken = CompatiblePair(unfolded.labels, unfolded.exchangeable, lam,
+                            unfolded.b)
+    walk = lockstep_pairs(quiver, 1, broken)
+    assert fold_mismatches(*next(walk)) == [("lambda", 1, 2), ("lambda", 2, 1)]
 
 
 # (type, its standard folded quiver): the flip of A_{2n-1} folds to B_n, the

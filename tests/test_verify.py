@@ -488,6 +488,71 @@ def test_realized_exchange_graph_bound():
         realized_exchange_graph(datum, (1, 2, 1, 2), quiver, bound=5)
 
 
+def test_realized_exchange_graph_memo_keeps_the_bound():
+    # A complete graph is kept on the context; a lookup with a smaller
+    # bound raises as the enumeration does, and an incomplete graph is
+    # not kept.
+    datum, quiver = resolve_input(C2_QUIVER)
+    context = OracleContext(datum)
+    with pytest.raises(RuntimeError, match="exchange graph exceeded bound"):
+        realized_exchange_graph(datum, (1, 2, 1, 2), quiver, 5, context)
+    assert context.graphs == {}
+    seeds = realized_exchange_graph(datum, (1, 2, 1, 2), quiver, 6, context)
+    assert realized_exchange_graph(datum, (1, 2, 1, 2), quiver, 200,
+                                   context) is seeds
+    with pytest.raises(RuntimeError, match="exchange graph exceeded bound"):
+        realized_exchange_graph(datum, (1, 2, 1, 2), quiver, 5, context)
+    assert len(context.graphs) == 1
+
+
+def test_verify_call_realizes_each_exchange_graph_once(monkeypatch):
+    # The fast catalog asks for the A2 (1,2,1) graph twice, from
+    # cluster_monomials and from word_independence, and one verify call
+    # builds it once.  Each report, under every bound, is the one the entry
+    # gives on contexts of its own.
+    requested, built = [], []
+    realize = verify.realized_exchange_graph
+    enumerate_graph = verify.enumerate_exchange_graph
+
+    def counted_realize(datum, word, *args):
+        requested.append(tuple(word))
+        return realize(datum, word, *args)
+
+    def counted_enumerate(seed, bound):
+        built.append(requested[-1])
+        return enumerate_graph(seed, bound)
+
+    monkeypatch.setattr(verify, "realized_exchange_graph", counted_realize)
+    monkeypatch.setattr(verify, "enumerate_exchange_graph", counted_enumerate)
+    entries = load_catalog("catalog_fast.json")
+    for entry in entries:
+        run_check(entry, {})
+    assert requested.count((1, 2, 1)) == built.count((1, 2, 1)) == 2
+    requested.clear()
+    built.clear()
+    contexts = {}
+    for entry in entries:
+        run_check(entry, contexts)
+    assert requested == [(1, 2, 1), (1, 2, 1, 2), (1, 2, 1), (2, 1, 2)]
+    assert built == [(1, 2, 1), (1, 2, 1, 2), (2, 1, 2)]
+
+    def report(entry, contexts):
+        try:
+            return run_check(entry, contexts).to_json()
+        except RuntimeError as exc:
+            return type(exc), str(exc)
+
+    # The last entry asks for the A2 graph once more, so its bound meets a
+    # stored graph.
+    again = {"check": "word_independence", "input": A2_INPUT,
+             "words": [[1, 2, 1], [1, 2, 1]], "bound": 16}
+    for max_steps in (None, 1, 2):
+        contexts = {}
+        for entry in entries + load_catalog("catalog_slow.json") + [again]:
+            entry = verify.bounded_entry(entry, max_steps)
+            assert report(entry, contexts) == report(entry, None), entry
+
+
 def test_fast_catalog_all_pass():
     reports = [run_check(e) for e in load_catalog("catalog_fast.json")]
     assert reports, "catalog must not be empty"

@@ -1,18 +1,19 @@
-"""Exact Laurent polynomials in q with rational coefficients.
+"""Exact Laurent polynomials in q with integer coefficients: the ring
+Z[q, q^-1].
 
 This is the universal scalar for everything else in the package: quantum
 integers [n]_i, quantum factorials, Gaussian binomials and the bar
-involution q -> q^-1.  All arithmetic is exact; there is no floating point
-anywhere.  A coefficient is stored as an int when it is integral and as a
-Fraction (denominator > 1) otherwise, so the common integral case pays for
-no Fraction arithmetic.  Values are immutable and hashable, so they can be
-shared freely.
+involution q -> q^-1.  Minors, the dual canonical basis and quantum cluster
+variables all live in integral forms over this ring, so every coefficient
+is an int: a rational, float or bool is rejected, not converted, and a
+division whose quotient would leave the ring raises.  There is no floating
+point anywhere.  Values are immutable and hashable, so they can be shared
+freely.
 """
 
 from __future__ import annotations
 
 import operator
-from fractions import Fraction
 
 
 class LaurentDivisionError(ArithmeticError):
@@ -20,36 +21,21 @@ class LaurentDivisionError(ArithmeticError):
 
 
 def exact_int(x) -> int:
-    """x as an int; raises instead of rounding a float or a non-integer.
-
-    Integers and integral Fractions are accepted; a float or a bool raises
-    TypeError.
-    """
+    """x as an int; raises TypeError instead of converting a float, a bool,
+    a rational (integral or not) or any other non-integer type."""
     if type(x) is int:
         return x
     if isinstance(x, bool):
         raise TypeError("%r is a bool, not an integer" % x)
-    if isinstance(x, Fraction):
-        if x.denominator != 1:
-            raise ValueError("%s is not an integer" % x)
-        return x.numerator
     return operator.index(x)
 
 
-def _canonical(c):
-    """An exact rational as an int when integral, else as a Fraction; a
-    float or a bool raises TypeError."""
-    if isinstance(c, Fraction):
-        return c.numerator if c.denominator == 1 else c
-    return exact_int(c)
-
-
 class LaurentScalar:
-    """A Laurent polynomial sum_k c_k q^k with exact rational coefficients.
+    """A Laurent polynomial sum_k c_k q^k with int coefficients.
 
-    Terms are stored as a tuple of (exponent, coefficient) pairs sorted by
-    descending exponent, with no zero coefficients; a coefficient is an int
-    when integral and a Fraction otherwise.  Equality is structural.
+    Terms are stored as a tuple of (exponent, coefficient) int pairs sorted
+    by descending exponent, with no zero coefficients.  Equality is
+    structural.
     """
 
     __slots__ = ("_terms",)
@@ -62,30 +48,18 @@ class LaurentScalar:
                 if type(k) is not int:
                     k = exact_int(k)
                 if type(c) is not int:
-                    c = _canonical(c)
+                    c = exact_int(c)
                 if c:
                     acc[k] = acc.get(k, 0) + c
         self._terms = tuple(sorted(
-            [(k, c if type(c) is int else _canonical(c))
+            [(k, c if type(c) is int else exact_int(c))
              for k, c in acc.items() if c], reverse=True))
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
-    def zero() -> "LaurentScalar":
-        return LaurentScalar()
-
-    @staticmethod
-    def one() -> "LaurentScalar":
-        return LaurentScalar([(0, 1)])
-
-    @staticmethod
     def q_power(k: int, coeff=1) -> "LaurentScalar":
         return LaurentScalar([(k, coeff)])
-
-    @staticmethod
-    def from_rational(c) -> "LaurentScalar":
-        return LaurentScalar([(0, c)])
 
     # -- inspection ---------------------------------------------------
 
@@ -95,10 +69,6 @@ class LaurentScalar:
 
     def is_zero(self) -> bool:
         return not self._terms
-
-    def is_integral(self) -> bool:
-        """True when every coefficient is an integer."""
-        return all(type(c) is int for _, c in self._terms)
 
     def min_exponent(self) -> int:
         if not self._terms:
@@ -164,24 +134,25 @@ class LaurentScalar:
         """The bar involution q -> q^-1 (negate every exponent)."""
         return LaurentScalar([(-k, c) for k, c in self._terms])
 
-    def at_one(self) -> Fraction:
+    def at_one(self) -> int:
         """Specialize q = 1 (the classical limit); sum of all coefficients."""
-        return sum((c for _, c in self._terms), Fraction(0))
+        return sum(c for _, c in self._terms)
 
     # -- exact division -------------------------------------------------
 
     def divexact(self, divisor) -> "LaurentScalar":
         """Exact division by another Laurent polynomial.
 
-        Raises LaurentDivisionError when the quotient is not itself a
-        Laurent polynomial.  Shifts both operands so the divisor becomes an
-        ordinary polynomial with nonzero constant term, then long-divides.
+        Raises LaurentDivisionError when the quotient is not in Z[q, q^-1]:
+        a remainder, or a leading coefficient that does not divide.  Shifts
+        both operands so the divisor becomes an ordinary polynomial with
+        nonzero constant term, then long-divides.
         """
         divisor = _coerce(divisor)
         if divisor is NotImplemented or divisor.is_zero():
             raise LaurentDivisionError("division by zero")
         if self.is_zero():
-            return LaurentScalar.zero()
+            return ZERO
         va = self.min_exponent()
         vb = divisor.min_exponent()
         num = {k - va: c for k, c in self._terms}
@@ -191,11 +162,11 @@ class LaurentScalar:
         quot = {}
         while num:
             deg = max(num)
-            if deg < den_deg:
+            factor, rest = divmod(num[deg], den_lead)
+            if deg < den_deg or rest:
                 raise LaurentDivisionError(
                     "%s is not divisible by %s" % (self, divisor))
             shift = deg - den_deg
-            factor = _canonical(Fraction(num[deg], den_lead))
             quot[shift] = factor
             for k, c in den.items():
                 kk = k + shift
@@ -233,13 +204,13 @@ class LaurentScalar:
 def _coerce(x):
     if isinstance(x, LaurentScalar):
         return x
-    if isinstance(x, (int, Fraction)):
-        return LaurentScalar.from_rational(x)
+    if isinstance(x, int):
+        return LaurentScalar([(0, x)])
     return NotImplemented
 
 
-ZERO = LaurentScalar.zero()
-ONE = LaurentScalar.one()
+ZERO = LaurentScalar()
+ONE = LaurentScalar([(0, 1)])
 
 
 def q_int(n: int, d: int = 1) -> LaurentScalar:
@@ -298,7 +269,7 @@ def add_terms(x: dict, y: dict) -> dict:
 
 
 def scale_terms(x: dict, scalar) -> dict:
-    """Every term of x multiplied by a Laurent (or rational) scalar."""
+    """Every term of x multiplied by a Laurent (or int) scalar."""
     scalar = _coerce(scalar)
     if not scalar:
         return {}

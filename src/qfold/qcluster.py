@@ -17,7 +17,6 @@ its g-vector appears.  Every edge of the exchange graph is checked
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from bisect import insort
 from functools import cached_property
 from itertools import compress, count
@@ -261,7 +260,7 @@ class TorusElement:
         return TorusElement(self.torus, scale_terms(self.terms, scalar))
 
     def __mul__(self, other) -> "TorusElement":
-        """Coefficients accumulate as {exponent: rational} per output
+        """Coefficients accumulate as {exponent: int} per output
         exponent vector, which then gets one Laurent scalar."""
         sigma = self.torus.sigma
         acc = {}
@@ -654,15 +653,9 @@ def _built_seed(seed, step):
 
 
 def specialize_classical(x: TorusElement) -> dict:
-    """q = 1 specialization: a commutative Laurent polynomial as a dict."""
-    out = {}
-    for exp, coeff in x.terms.items():
-        v = out.get(exp, Fraction(0)) + coeff.at_one()
-        if v:
-            out[exp] = v
-        else:
-            out.pop(exp, None)
-    return out
+    """q = 1 specialization: a commutative Laurent polynomial as a dict
+    {exponent vector: int}, zero coefficients dropped."""
+    return {exp: v for exp, coeff in x.terms.items() if (v := coeff.at_one())}
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ equality of elements is equality of the action on all fundamental weights.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import mul
 
 from .laurent import exact_int
@@ -336,18 +335,25 @@ def _weyl_key(datum, word):
 
 
 def is_finite_type(datum: CartanDatum) -> bool:
-    """True when the symmetrized matrix d_i a_ij is positive definite, that
-    is, when every pivot of its exact elimination is positive; exactly then
-    the Weyl group is finite."""
+    """True when the symmetrized matrix d_i a_ij is positive definite;
+    exactly then the Weyl group is finite.
+
+    Sylvester's criterion: every leading principal minor is positive.
+    Bareiss (fraction-free) elimination without pivoting leaves the k-th
+    leading principal minor as the k-th pivot, and each update
+    (p*v - a*w) // prev is an exact integer division.
+    """
     n = datum.rank
-    m = [[Fraction(datum.symmetrizers[r] * datum.cartan[r][c])
-          for c in range(n)] for r in range(n)]
+    m = list(datum._symmetrized)
+    prev = 1
     for k in range(n):
-        if m[k][k] <= 0:
+        p = m[k][k]
+        if p <= 0:
             return False
         for r in range(k + 1, n):
-            factor = m[r][k] / m[k][k]
-            m[r] = [v - factor * w for v, w in zip(m[r], m[k])]
+            a = m[r][k]
+            m[r] = [(p * v - a * w) // prev for v, w in zip(m[r], m[k])]
+        prev = p
     return True
 
 

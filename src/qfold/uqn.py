@@ -317,7 +317,7 @@ def shuffle_product(x: ShuffleElement, y: ShuffleElement) -> ShuffleElement:
     quantized enveloping algebra's coproduct; it is pinned down by the
     bar-product identity and the minor-squaring identity in the tests.
 
-    Coefficients accumulate as {exponent: rational} per output word, and
+    Coefficients accumulate as {exponent: int} per output word, and
     each output word gets one Laurent scalar at the end.
     """
     if x.datum != y.datum:
@@ -503,13 +503,14 @@ def shuffle_divide_left(a: ShuffleElement, c: ShuffleElement) -> ShuffleElement:
 
 
 def _solve_laurent_system(matrix, ncols):
-    """Fraction-free (Bareiss) elimination for M z = rhs over the Laurent ring.
+    """Bareiss (fraction-free) elimination for M z = rhs over the Laurent ring.
 
     matrix rows carry the rhs as their last entry.  Returns the solution
-    list, or None when inconsistent, underdetermined or not Laurent (a
-    back-substitution division that is not exact).  Each update (p*x -
-    a*y) / prev is exact by Sylvester's identity over a domain, so zero
-    products are skipped: with x and a*y zero the entry stays zero.
+    list, or None when inconsistent, underdetermined or not integral (a
+    back-substitution division that is not exact in Z[q, q^-1], such as a
+    quotient 1/2).  Each update (p*x - a*y) / prev is exact by Sylvester's
+    identity over a domain, so zero products are skipped: with x and a*y
+    zero the entry stays zero.
     """
     rows = [list(r) for r in matrix]
     nrows = len(rows)

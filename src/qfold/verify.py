@@ -447,8 +447,9 @@ def check_cluster_monomials(input_spec, word, max_exponent=1, contexts=None) \
             monomial = normalized_shuffle_monomial(a, seed)
             report = check_dual_canonical_conditions(monomial)
             if not report.passed:
-                return replace(report, instance=dict(
-                    instance, exponents={str(k): v for k, v in a.items()}))
+                return replace(report, check="cluster_monomials",
+                               instance=dict(instance, exponents={
+                                   str(k): v for k, v in a.items()}))
             passed.add(key)
     return VerificationReport("cluster_monomials", instance, "pass",
                               "%d monomials over %d seeds"

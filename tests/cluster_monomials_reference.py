@@ -3,8 +3,9 @@ qfold.verify.check_cluster_monomials replaces.
 
 It builds and checks the normalized monomial of every exponent in every
 seed, so a monomial shared by several seeds is checked once per seed.  The
-function body is kept as it was before the check remembered its verdicts;
-it serves only the differential tests.  It calls qfold.verify through the
+function body is kept as it was before the check remembered its verdicts,
+except that a failing report names the cluster_monomials check, as the
+engine's does; it serves only the differential tests.  It calls qfold.verify through the
 module, so a test that patches realized_exchange_graph patches it here too.
 """
 
@@ -39,6 +40,7 @@ def check_cluster_monomials(input_spec, word, max_exponent=1):
             report = verify.check_dual_canonical_conditions(monomial)
             tested += 1
             if not report.passed:
+                report.check = "cluster_monomials"
                 report.instance = dict(instance, exponents={str(k): v
                                                             for k, v in a.items()})
                 return report

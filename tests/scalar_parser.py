@@ -1,18 +1,18 @@
 """The rendering grammar of Laurent scalars, "a*q^k + ...", parsed back:
 a test helper for writing expected scalars as str(LaurentScalar) prints
-them."""
+them.  Coefficients are ints, as in the ring Z[q, q^-1]; a rational
+coefficient such as "1/2*q" is a parse error."""
 
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 
 from qfold.laurent import ZERO, LaurentScalar
 
 
 _TERM_RE = re.compile(
     r"""^\s*
-        (?P<coeff>[+-]?\s*\d+(?:/\d+)?|[+-])? # optional rational coefficient
+        (?P<coeff>[+-]?\s*\d+|[+-])?           # optional integer coefficient
         \s*\*?\s*
         (?P<q>q(?:\^(?P<exp>[+-]?\d+))?)?     # optional q power
         \s*$""",
@@ -33,12 +33,12 @@ def parse_scalar(text: str) -> LaurentScalar:
         if not m or (m.group("coeff") is None and m.group("q") is None):
             raise ValueError("cannot parse Laurent term %r" % chunk)
         coeff_text = m.group("coeff")
-        if coeff_text is None:
-            coeff = Fraction(1)
-        elif coeff_text in ("+", "-"):
-            coeff = Fraction(1 if coeff_text == "+" else -1)
+        if coeff_text is None or coeff_text == "+":
+            coeff = 1
+        elif coeff_text == "-":
+            coeff = -1
         else:
-            coeff = Fraction(coeff_text.replace(" ", ""))
+            coeff = int(coeff_text.replace(" ", ""))
         if m.group("q") is None:
             exp = 0
         elif m.group("exp") is None:

@@ -1,7 +1,8 @@
 """Exact shuffle division: the Bareiss solver that skips zero products
 against the dense reference in division_reference, on random sparse
 Laurent systems and on every division a verify run makes, and each way
-shuffle_divide_left refuses a division."""
+shuffle_divide_left refuses a division; and the verdict on a quotient that
+exists over Q but not over Z[q, q^-1], in every dividing layer."""
 
 from __future__ import annotations
 
@@ -14,7 +15,8 @@ from hypothesis import strategies as st
 import division_reference as reference
 from qfold import uqn
 from qfold.cli import main
-from qfold.laurent import ONE, ZERO, LaurentScalar
+from qfold.laurent import ONE, ZERO, LaurentDivisionError, LaurentScalar
+from qfold.qcluster import QuantumTorus, TorusDivisionError, left_divide
 from qfold.rootdata import Root, cartan_datum
 from qfold.uqn import (
     ShuffleDivisionError,
@@ -158,3 +160,28 @@ def test_wrong_solution_is_caught_by_the_product_check(monkeypatch):
     with pytest.raises(ShuffleDivisionError,
                        match="no exact quotient exists"):
         shuffle_divide_left(a, product)
+
+
+X1 = QuantumTorus((1, 2), ((0, 3), (-3, 0))).element({(1, 0): ONE})
+
+# Four divisions whose only quotient is 1/2: none of them has a quotient in
+# Z[q, q^-1], so each is refused (the solver by returning None).
+HALF_QUOTIENTS = {
+    "divexact": (lambda: ONE.divexact(2), LaurentDivisionError),
+    "solver": (lambda: uqn._solve_laurent_system(
+        [[LaurentScalar({0: 2}), ONE]], 1), None),
+    "shuffle": (lambda: shuffle_divide_left(theta_star(A2, 1).scale(2),
+                                            theta_star(A2, 1)),
+                ShuffleDivisionError),
+    "torus": (lambda: left_divide(X1.scale(2), X1), TorusDivisionError),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HALF_QUOTIENTS))
+def test_a_quotient_of_one_half_is_no_quotient(case):
+    divide, error = HALF_QUOTIENTS[case]
+    if error is None:
+        assert divide() is None
+    else:
+        with pytest.raises(error):
+            divide()

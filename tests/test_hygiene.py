@@ -2,10 +2,11 @@
 arithmetic modules use no true division and no float literal, the cluster
 calculus keeps to its layer, no module keeps a cache or a container that
 outlives a call, every function the benchmark's traced run wraps still
-exists, no module draws random numbers, and the CLI's config schema is a
-valid schema.
+exists, no module draws random numbers or imports fractions, and the CLI's
+config schema is a valid schema.
 
-The first four and the randomness scan are AST scans.  The import scan
+The first four and the import scans for random numbers and fractions are
+AST scans.  The import scan
 covers src/qfold, tests and demos; the module-level imports of a
 package's __init__.py are its re-exports and are exempt.
 """
@@ -78,10 +79,11 @@ def test_scan_catches_an_unused_import(tmp_path):
     assert unused_imports(module) == [(1, "json")]
 
 
-# Modules whose arithmetic is exact over int/Fraction coefficients: true
-# division and float literals have no place there.  rootdata divides
-# Fractions on purpose and is not scanned.
-EXACT_MODULES = ("laurent.py", "uqn.py", "qcluster.py", "verify.py")
+# Modules whose arithmetic is exact over the integers: Laurent coefficients
+# in Z[q, q^-1], roots, Cartan entries and the integer minors of
+# is_finite_type.  True division and float literals have no place there.
+EXACT_MODULES = ("laurent.py", "rootdata.py", "uqn.py", "qcluster.py",
+                 "verify.py")
 
 
 def inexact_arithmetic(path: Path):
@@ -238,12 +240,13 @@ def test_state_scan_catches_caches_and_containers(tmp_path):
 
 
 # The engine is exact and deterministic: no module of src/qfold may draw
-# random numbers.
+# random numbers, and every scalar lives in Z[q, q^-1], so none imports the
+# rational numbers of fractions either.
 RANDOM_MODULES = {"random", "secrets"}
 
 
-def random_imports(path: Path):
-    """(line, module) for every import of a random-number module."""
+def imports_of(path: Path, modules):
+    """(line, module) for every absolute import of one of the modules."""
     tree = ast.parse(path.read_text(), filename=str(path))
     found = []
     for node in ast.walk(tree):
@@ -254,15 +257,18 @@ def random_imports(path: Path):
         else:
             continue
         found.extend((node.lineno, name) for name in names
-                     if name.split(".")[0] in RANDOM_MODULES)
+                     if name.split(".")[0] in modules)
     return sorted(found)
 
 
+def _engine_imports_of(modules):
+    return ["%s:%d %s" % (path.relative_to(ROOT), line, name)
+            for path in sorted((ROOT / "src" / "qfold").glob("*.py"))
+            for line, name in imports_of(path, modules)]
+
+
 def test_engine_draws_no_random_numbers():
-    found = []
-    for path in sorted((ROOT / "src" / "qfold").glob("*.py")):
-        found.extend("%s:%d %s" % (path.relative_to(ROOT), line, name)
-                     for line, name in random_imports(path))
+    found = _engine_imports_of(RANDOM_MODULES)
     assert not found, "random-number imports:\n" + "\n".join(found)
 
 
@@ -271,8 +277,22 @@ def test_random_scan_catches_random_imports(tmp_path):
     module.write_text("import json\nimport random\nfrom secrets import token_hex\n"
                       "from . import randomness\nimport os.path, random as r\n"
                       "def f():\n    from random import Random\n")
-    assert random_imports(module) == [(2, "random"), (3, "secrets"),
-                                      (5, "random"), (7, "random")]
+    assert imports_of(module, RANDOM_MODULES) == [
+        (2, "random"), (3, "secrets"), (5, "random"), (7, "random")]
+
+
+def test_engine_imports_no_fractions():
+    found = _engine_imports_of({"fractions"})
+    assert not found, "fractions imports:\n" + "\n".join(found)
+
+
+def test_fractions_scan_catches_fractions_imports(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text("import json\nfrom fractions import Fraction\n"
+                      "import os, fractions\nfrom . import fractions as f\n"
+                      "def g():\n    import fractions as fr\n")
+    assert imports_of(module, {"fractions"}) == [
+        (2, "fractions"), (3, "fractions"), (6, "fractions")]
 
 
 def perfbench_layers():

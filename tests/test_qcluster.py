@@ -162,12 +162,10 @@ def test_torus_arithmetic():
 
 def test_torus_exponents_must_be_integers():
     torus = QuantumTorus((1, 2), ((0, 3), (-3, 0)))
-    for bad, error in (((1.0, 0), TypeError), ((0.5, 1), TypeError),
-                       ((Fraction(1, 2), 0), ValueError)):
-        with pytest.raises(error):
+    for bad in ((1.0, 0), (0.5, 1), (Fraction(1, 2), 0), (Fraction(2), 1)):
+        with pytest.raises(TypeError):
             torus.element({bad: ONE})
-    x = torus.element({(Fraction(2), 1): ONE})
-    assert x == torus.element({(2, 1): ONE})
+    x = torus.element({(2, 1): ONE})
     assert all(type(e) is int for key in x.terms for e in key)
 
 
@@ -246,10 +244,9 @@ def test_normalized_monomial_units():
 
 def test_normalized_monomial_rejects_non_integer_exponents():
     seed = a2_seed()
-    with pytest.raises(TypeError):
-        normalized_monomial({1: 1.0, 2: 0, 3: 0}, seed)
-    with pytest.raises(ValueError):
-        normalized_monomial({1: Fraction(1, 2), 2: 0, 3: 0}, seed)
+    for bad in (1.0, Fraction(1, 2), Fraction(1)):
+        with pytest.raises(TypeError):
+            normalized_monomial({1: bad, 2: 0, 3: 0}, seed)
     assert normalized_monomial((0, 1, 0), seed) == seed.variables[2]
 
 
@@ -408,8 +405,10 @@ def test_seed_canonical_key_order_insensitive():
 
 def test_specialize_classical():
     torus = QuantumTorus((1, 2), ((0, 1), (-1, 0)))
-    x = torus.element({(1, 0): parse_scalar("q^5")})
-    assert specialize_classical(x) == {(1, 0): 1}
+    x = torus.element({(1, 0): parse_scalar("q^5 - 3"),
+                       (0, 1): parse_scalar("q - 1")})
+    assert specialize_classical(x) == {(1, 0): -2}
+    assert all(type(c) is int for c in specialize_classical(x).values())
     seed = a2_seed()
     mutated = mutate_seed(seed, 1)
     lhs = specialize_classical(seed.variables[1] * mutated.variables[1])

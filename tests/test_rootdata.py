@@ -3,11 +3,16 @@
 from __future__ import annotations
 
 import itertools
+import json
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import finite_type_reference
 from qfold.rootdata import (
     CartanDatum,
     apply_word,
@@ -28,6 +33,7 @@ from qfold.rootdata import (
     weyl_equal,
 )
 from qfold.uqn import MinorSpec
+from qfold.verify import load_catalog, resolve_input
 
 A2 = cartan_datum("A", 2)
 A3 = cartan_datum("A", 3)
@@ -55,12 +61,15 @@ def test_datum_and_roots_reject_non_integers():
                       (((2, -1), (-1, 2)), (True, True))):
         with pytest.raises(TypeError):
             CartanDatum((1, 2), cartan, d)
-    with pytest.raises(ValueError):
-        CartanDatum((1, 2), ((2, -1), (-1, 2)), (Fraction(3, 2), 1))
-    assert CartanDatum((1, 2), ((2, Fraction(-1)), (-1, 2)), (1, 1)) == A2
-    with pytest.raises(TypeError):
-        A2.root((1.9, 0))
-    assert A2.root((Fraction(2), 0)).coords == (2, 0)
+    # So is a Fraction, integral or not.
+    for cartan, d in ((((2, -1), (-1, 2)), (Fraction(3, 2), 1)),
+                      (((2, Fraction(-1)), (-1, 2)), (1, 1))):
+        with pytest.raises(TypeError):
+            CartanDatum((1, 2), cartan, d)
+    for coords in ((1.9, 0), (Fraction(2), 0)):
+        with pytest.raises(TypeError):
+            A2.root(coords)
+    assert A2.root((2, 0)).coords == (2, 0)
 
 
 def test_reflect_simple_cases():
@@ -250,6 +259,61 @@ def test_infinite_type_is_detected_up_front(cartan):
     for enumerate_group in (weyl_elements, longest_word, positive_roots):
         with pytest.raises(ValueError, match="Weyl group is infinite"):
             enumerate_group(datum)
+
+
+def _accepted_data(max_rank):
+    for family, rank in itertools.product("ABCDEFG", range(1, max_rank + 1)):
+        try:
+            yield cartan_datum(family, rank)
+        except ValueError:
+            continue
+
+
+def _rank2(a, b):
+    # [[2, -a], [-b, 2]] with the smallest symmetrizers d_1 a = d_2 b.
+    g = math.gcd(a, b) or 1
+    return CartanDatum((1, 2), ((2, -a), (-b, 2)), (b // g or 1, a // g or 1))
+
+
+def test_finite_type_matches_the_fraction_reference():
+    # Every datum cartan_datum accepts up to rank 6, the data of both
+    # catalogs (the folded C2 of A3 among them), and every rank 2 matrix
+    # with ab <= 6: finite for ab < 4, affine (singular) for ab = 4,
+    # indefinite beyond.
+    data = list(_accepted_data(6))
+    assert len(data) == 21
+    specs = {json.dumps(entry["input"], sort_keys=True)
+             for name in ("catalog_fast.json", "catalog_slow.json")
+             for entry in load_catalog(name) if entry.get("input")}
+    data += [resolve_input(json.loads(spec))[0] for spec in sorted(specs)]
+    assert any(len(set(d.symmetrizers)) > 1 for d in data[21:])
+    for a, b in itertools.product(range(7), repeat=2):
+        if a * b <= 6 and (a == 0) == (b == 0):
+            assert is_finite_type(_rank2(a, b)) == (a * b < 4), (a, b)
+            data.append(_rank2(a, b))
+    for datum in data:
+        assert is_finite_type(datum) \
+            == finite_type_reference.is_finite_type(datum), datum
+
+
+@st.composite
+def symmetrizable_data(draw):
+    """A symmetrizable Cartan datum of rank 1 to 5: symmetrizers d_i, and
+    for each pair a symmetrized entry d_i a_ij = d_j a_ji <= 0, a multiple
+    of lcm(d_i, d_j) so that both Cartan entries are integers."""
+    n = draw(st.integers(1, 5))
+    d = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    a = [[2 if r == c else 0 for c in range(n)] for r in range(n)]
+    for r, c in itertools.combinations(range(n), 2):
+        s = -draw(st.integers(0, 2)) * math.lcm(d[r], d[c])
+        a[r][c], a[c][r] = s // d[r], s // d[c]
+    return CartanDatum(tuple(range(1, n + 1)), a, d)
+
+
+@given(symmetrizable_data())
+def test_finite_type_matches_the_fraction_reference_on_random_data(datum):
+    assert is_finite_type(datum) \
+        == finite_type_reference.is_finite_type(datum)
 
 
 def test_weyl_equal_and_longest():

@@ -47,7 +47,7 @@ for row in exchange.matrix:
 
 # --- The oracle seed -----------------------------------------------------------
 
-seed = oracle_seed_data(fold(a3).datum, (1, 2, 1, 2), a3)
+seed = oracle_seed_data(fold(a3).datum, (j1, j2, j1, j2))
 print("\noracle Lambda:")
 for row in seed.pair.lam:
     print("   ", row)

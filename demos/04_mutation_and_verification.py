@@ -6,20 +6,14 @@ verification harness replays the structural identities on catalogued
 instances and reports machine-readable results.
 """
 
-from qfold.initquiver import initial_pair
+from qfold.initquiver import initial_pair, resolve_word
 from qfold.qcluster import (
     enumerate_exchange_graph,
     initial_seed,
     mutate_seed,
     specialize_classical,
 )
-from qfold.verify import (
-    check_exchange_relation,
-    check_word_independence,
-    load_catalog,
-    resolve_input,
-    run_check,
-)
+from qfold.verify import load_catalog, resolve_input, run_check
 
 # --- One mutation, concretely ---------------------------------------------
 
@@ -33,7 +27,8 @@ print("classical limit of Y1':",
 
 # The exchange identity, verified in the shuffle algebra with the new
 # variable identified among oracle-computable minors.
-report = check_exchange_relation({"type": ["A", 2]}, (1, 2, 1), 1)
+report = run_check({"check": "exchange_relation", "input": {"type": ["A", 2]},
+                    "word": [1, 2, 1], "direction": 1})
 print("exchange relation:", report.status, "|", report.details)
 
 # --- Exchange graphs ---------------------------------------------------------
@@ -45,13 +40,15 @@ print("\nA2 exchange graph: %d seeds, %d distinct cluster variables"
 c2_input = {"quiver": {"vertices": [1, 2, 3], "edges": [[1, 2], [3, 2]],
                        "automorphism": {"1": 3, "2": 2, "3": 1}}}
 c2_datum, c2_quiver = resolve_input(c2_input)
-c2_seed = initial_seed(*initial_pair(c2_datum, (1, 2, 1, 2), c2_quiver))
+c2_word = resolve_word(c2_datum, (1, 2, 1, 2), c2_quiver)
+c2_seed = initial_seed(*initial_pair(c2_datum, c2_word))
 c2_graph = enumerate_exchange_graph(c2_seed)
 print("C2 exchange graph: %d seeds, %d distinct cluster variables"
       % (len(c2_graph.seeds), len(c2_graph.cluster_variables())))
 
 # Reduced-word independence: different initial words, identical variables.
-print(check_word_independence(c2_input, (1, 2, 1, 2), (2, 1, 2, 1)).details)
+print(run_check({"check": "word_independence", "input": c2_input,
+                 "words": [[1, 2, 1, 2], [2, 1, 2, 1]]}).details)
 
 # --- The catalogued verification suite ----------------------------------------
 

@@ -177,7 +177,7 @@ def _from_word(config, build):
 
 def _oracle_seed(config):
     """The initial torus seed and the oracle's initial minors."""
-    realized = _from_word(config, oracle_seed_data)
+    realized = _from_word(config, lambda d, w, _: oracle_seed_data(d, w))
     return initial_seed(realized.pair, realized.degrees), realized.variables
 
 
@@ -214,7 +214,8 @@ def cmd_mutate(config, args):
 
 
 def cmd_enumerate(config, args):
-    seed = initial_seed(*_from_word(config, initial_pair))
+    seed = initial_seed(*_from_word(config,
+                                    lambda d, w, _: initial_pair(d, w)))
     graph = enumerate_exchange_graph(seed, bound=args.max_steps)
     variables = graph.cluster_variables()
     _emit({"seeds": len(graph.seeds),

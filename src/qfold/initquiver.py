@@ -196,10 +196,9 @@ def resolve_word(datum, word, quiver=None):
     return tuple(word)
 
 
-def initial_pair(datum, word, quiver=None):
+def initial_pair(datum, word):
     """(initial compatible pair over positions 1..n, {t: beta_t}) of a
-    reduced word, from the word alone; a quiver input only names the
-    letters as its orbits.
+    reduced word over the datum's indices, from the word alone.
 
     beta_t = w_{i_t} - s_{i_1}...s_{i_t} w_{i_t} is the degree of Y_t.  It
     is the sum of the inversion roots gamma_k over the positions k <= t of
@@ -215,7 +214,6 @@ def initial_pair(datum, word, quiver=None):
     t+ <= n are exchangeable.  On a folded datum this is the unfolded
     staircase summed over position orbits.
     """
-    word = resolve_word(datum, word, quiver)
     gammas = inversion_roots(datum, word)
     if not all(gamma.is_positive() for gamma in gammas):
         raise ValueError("word %r is not reduced" % (word,))

@@ -144,12 +144,15 @@ class LaurentScalar:
         """Exact division by another Laurent polynomial.
 
         Raises LaurentDivisionError when the quotient is not in Z[q, q^-1]:
-        a remainder, or a leading coefficient that does not divide.  Shifts
+        a zero divisor, a remainder, or a leading coefficient that does not
+        divide; TypeError for a divisor that is not in it.  Shifts
         both operands so the divisor becomes an ordinary polynomial with
         nonzero constant term, then long-divides.
         """
         divisor = _coerce(divisor)
-        if divisor is NotImplemented or divisor.is_zero():
+        if divisor is NotImplemented:
+            raise TypeError("divisor must be a LaurentScalar or an int")
+        if divisor.is_zero():
             raise LaurentDivisionError("division by zero")
         if self.is_zero():
             return ZERO

@@ -181,17 +181,11 @@ class TorusDivisionError(ArithmeticError):
 class QuantumTorus:
     """Ambient torus data: ordered labels, commutation matrix, and the
     degree pairing (d_i, d_j) of the generators in the ambient graded
-    algebra (zero when the torus is used without a grading)."""
+    algebra."""
 
     labels: tuple
     lam: tuple
-    degree_pairing: tuple = None
-
-    def __post_init__(self):
-        if self.degree_pairing is None:
-            m = len(self.labels)
-            object.__setattr__(self, "degree_pairing",
-                               tuple((0,) * m for _ in range(m)))
+    degree_pairing: tuple
 
     def sigma(self, a, b):
         """Reordering exponent: X^a X^b = q^sigma(a,b) X^(a+b)."""

@@ -1,17 +1,21 @@
 """Identity-checking harness: executable desk-scale checks wiring the
 cluster combinatorics to the quantum-group oracle.
 
-Every check consumes a small, fully replayable instance descriptor and
-returns a VerificationReport.  All comparisons are exact equality of
-canonical serializations; there are no tolerances anywhere.  Instance
-catalogs are JSON data files shipped with the package.
+A catalog entry names its check kind and that kind's fields; CHECKS says
+which fields each kind reads, with each field's one default or marked
+required.  run_check is the one place that reads them: it fills in the
+defaults (the report's instance), resolves the input, picks the oracle
+context and turns the check's outcome into a VerificationReport.  A check
+returns a pass's details or raises CheckFailed.  All comparisons are exact
+equality of canonical serializations; there are no tolerances anywhere.
+Instance catalogs are JSON data files shipped with the package.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from importlib import resources
 
 from .folding import fold, quiver_from_json
@@ -74,6 +78,17 @@ class VerificationReport:
         return out
 
 
+class CheckFailed(Exception):
+    """The identity a check tests fails: the report's details and witness,
+    and the fields the failure adds to the report's instance."""
+
+    def __init__(self, details, witness=None, **instance):
+        super().__init__(details)
+        self.details = details
+        self.witness = witness or {}
+        self.instance = instance
+
+
 # ---------------------------------------------------------------------------
 # Instance resolution
 # ---------------------------------------------------------------------------
@@ -100,64 +115,69 @@ def resolve_input(spec: dict):
                      "Cartan datum")
 
 
-def oracle_context(datum, contexts=None) -> OracleContext:
-    """The oracle context of datum in contexts, a map from Cartan datum to
-    OracleContext that one verify call shares across its checks, made
-    there on first use; a fresh context when contexts is None."""
-    if contexts is None:
-        return OracleContext(datum)
-    if datum not in contexts:
-        contexts[datum] = OracleContext(datum)
-    return contexts[datum]
-
-
-def oracle_seed_data(datum, word, quiver=None, context=None) -> QuantumSeed:
-    """The initial quantum seed of initial_pair realized by the oracle: its
-    variables are the initial minors as shuffle elements and its unit the
-    shuffle algebra's."""
-    pair, degrees = initial_pair(datum, word, quiver)
+def oracle_seed_data(datum, word, context=None) -> QuantumSeed:
+    """The initial quantum seed of initial_pair, for a word over the
+    datum's indices, realized by the oracle: its variables are the initial
+    minors as shuffle elements and its unit the shuffle algebra's."""
+    pair, degrees = initial_pair(datum, word)
     context = context or OracleContext(datum)
-    specs = initial_cluster_variables(resolve_word(datum, word, quiver), datum)
+    specs = initial_cluster_variables(word, datum)
     minors = {t: minor_to_shuffle(spec, context)
               for t, spec in zip(pair.labels, specs)}
     return QuantumSeed(pair, degrees, minors, unit_element(datum))
 
 
+def realized_exchange_graph(datum, word, bound, context) -> list:
+    """The seeds of the exchange graph of oracle_seed_data's seed, in
+    enumerate_exchange_graph's order: its cluster variables are shuffle
+    elements, each computed once by the exchange step mutated_variable.
+    Raises RuntimeError when the graph has more than `bound` seeds.
+
+    A complete graph is kept in context.graphs, keyed by the word over the
+    datum's indices (the context is the datum's), so one verify call
+    realizes each graph once; a later lookup raises as the enumeration
+    would, when the stored graph has more seeds than its bound (the initial
+    seed is stored whatever the bound)."""
+    seeds = context.graphs.get(word)
+    if seeds is None:
+        graph = enumerate_exchange_graph(
+            oracle_seed_data(datum, word, context), bound)
+        if not graph.complete:
+            raise RuntimeError("exchange graph exceeded bound")
+        seeds = context.graphs[word] = graph.seeds
+    elif len(seeds) > max(bound, 1):
+        raise RuntimeError("exchange graph exceeded bound")
+    return seeds
+
+
 # ---------------------------------------------------------------------------
-# Individual checks
+# Individual checks: check_<kind>(entry, datum, quiver, context), where
+# entry holds the kind's fields, defaults filled in; a quiver input only
+# names the letters of the entry's words.
 # ---------------------------------------------------------------------------
 
 
-def check_initial_lambda(input_spec, word, contexts=None) \
-        -> VerificationReport:
+def check_initial_lambda(entry, datum, quiver, context) -> str:
     """The initial minors q-commute exactly as initial_pair's Lambda says,
     and that Lambda is compatible with the B of the same word."""
-    instance = {"check": "initial_lambda", "input": input_spec,
-                "word": list(word)}
-    datum, quiver = resolve_input(input_spec)
-    seed = oracle_seed_data(datum, word, quiver,
-                            oracle_context(datum, contexts))
+    seed = oracle_seed_data(datum, resolve_word(datum, entry["word"], quiver),
+                            context)
     pair = seed.pair
     for a, s in enumerate(pair.labels):
         for t in pair.labels[a + 1:]:
             m = qcommute_exponent(seed.variables[s], seed.variables[t])
             lam = pair.lam_entry(s, t)
             if m != lam:
-                return VerificationReport(
-                    "initial_lambda", instance, "fail",
+                raise CheckFailed(
                     "initial minors %d and %d: q-commutation exponent %s, "
                     "Lambda %d" % (s, t, m, lam),
                     {"pair": [s, t], "oracle": m, "lambda": lam})
     try:
         e = pair.e
     except CompatibilityError as exc:
-        return VerificationReport(
-            "initial_lambda", instance, "fail", str(exc),
-            {"lambda": [list(r) for r in pair.lam],
-             "b": [list(r) for r in pair.b]})
-    return VerificationReport(
-        "initial_lambda", instance, "pass",
-        "e = %s" % {str(k): v for k, v in sorted(e.items())})
+        raise CheckFailed(str(exc), {"lambda": [list(r) for r in pair.lam],
+                                     "b": [list(r) for r in pair.b]}) from exc
+    return "e = %s" % {str(k): v for k, v in sorted(e.items())}
 
 
 def normalized_shuffle_monomial(a, seed: QuantumSeed) -> ShuffleElement:
@@ -167,40 +187,29 @@ def normalized_shuffle_monomial(a, seed: QuantumSeed) -> ShuffleElement:
     return normalized_monomial(a, seed)
 
 
-def check_exchange_relation(input_spec, word, direction, contexts=None) \
-        -> VerificationReport:
+def check_exchange_relation(entry, datum, quiver, context) -> str:
     """The quantum exchange relation holds as an identity of shuffle
     elements after one mutation of the initial seed."""
-    instance = {"check": "exchange_relation", "input": input_spec,
-                "word": list(word), "direction": direction}
-    datum, quiver = resolve_input(input_spec)
-    context = oracle_context(datum, contexts)
-    seed = oracle_seed_data(datum, word, quiver, context)
-    k = direction
+    seed = oracle_seed_data(datum, resolve_word(datum, entry["word"], quiver),
+                            context)
+    k = entry["direction"]
     try:
         rhs = exchange_rhs(seed, k)
     except CompatibilityError as exc:
-        return VerificationReport("exchange_relation", instance, "fail",
-                                  "incompatible pair: %s" % exc)
+        raise CheckFailed("incompatible pair: %s" % exc) from exc
     except KeyError:
-        return VerificationReport("exchange_relation", instance, "fail",
-                                  "direction %r is frozen" % (k,))
+        raise CheckFailed("direction %r is frozen" % (k,)) from None
     try:
         candidate = shuffle_divide_left(seed.variables[k], rhs)
     except ShuffleDivisionError as exc:
-        return VerificationReport(
-            "exchange_relation", instance, "fail",
-            "no candidate matches: " + str(exc),
-            {"lhs_factor": shuffle_to_json(seed.variables[k]),
-             "rhs": shuffle_to_json(rhs)})
+        raise CheckFailed("no candidate matches: " + str(exc),
+                          {"lhs_factor": shuffle_to_json(seed.variables[k]),
+                           "rhs": shuffle_to_json(rhs)}) from exc
     if bar_element(candidate) != candidate:
-        return VerificationReport(
-            "exchange_relation", instance, "fail",
-            "mutated variable is not bar-invariant",
-            {"candidate": shuffle_to_json(candidate)})
+        raise CheckFailed("mutated variable is not bar-invariant",
+                          {"candidate": shuffle_to_json(candidate)})
     name = _name_among_minors(datum, candidate, context)
-    details = "Y_%d' = %s" % (k, name or str(candidate))
-    return VerificationReport("exchange_relation", instance, "pass", details)
+    return "Y_%d' = %s" % (k, name or str(candidate))
 
 
 def _name_among_minors(datum, element, context):
@@ -237,49 +246,35 @@ def _name_among_minors(datum, element, context):
     return None
 
 
-def check_square_identity(input_spec, fundamental, word_mu, contexts=None) \
-        -> VerificationReport:
+def check_square_identity(entry, datum, quiver, context) -> str:
     """Minor squaring: D(mu,zeta)^2 = q^{-(mu-zeta,mu-zeta)/2} D(2mu,2zeta).
 
     The printed statement carries the opposite exponent sign; the sign used
     here is the one forced by the bar-product identity with both sides
     bar-invariant, and is verified exactly.
     """
-    instance = {"check": "square_identity", "input": input_spec,
-                "fundamental": fundamental, "word_mu": list(word_mu)}
-    datum, quiver = resolve_input(input_spec)
-    context = oracle_context(datum, contexts)
-    word_mu = resolve_word(datum, word_mu, quiver)
-    fundamental = resolve_word(datum, (fundamental,), quiver)[0]
+    word_mu = resolve_word(datum, entry["word_mu"], quiver)
+    fundamental = resolve_word(datum, (entry["fundamental"],), quiver)[0]
     lam = datum.fundamental_weight(fundamental)
     d = minor_to_shuffle(MinorSpec(lam, word_mu), context)
     doubled = minor_to_shuffle(MinorSpec(2 * lam, word_mu), context)
     n = -bilinear_form(d.weight, d.weight) // 2
     lhs = shuffle_product(d, d)
     rhs = doubled.scale(LaurentScalar.q_power(n))
-    if lhs == rhs:
-        return VerificationReport("square_identity", instance, "pass",
-                                  "exponent %d" % n)
-    diff = lhs - rhs
-    return VerificationReport(
-        "square_identity", instance, "fail",
-        "sides differ", {"difference": shuffle_to_json(diff)})
+    if lhs != rhs:
+        raise CheckFailed("sides differ",
+                          {"difference": shuffle_to_json(lhs - rhs)})
+    return "exponent %d" % n
 
 
-def check_restriction_factorization(input_spec, fundamental, chain_words,
-                                    contexts=None) -> VerificationReport:
+def check_restriction_factorization(entry, datum, quiver, context) -> str:
     """Coproduct factorization across a dominance chain of extremal weights.
 
     chain_words lists reduced words for mu_1 < mu_2 < ... < mu_{n+1}
     (first word the longest).  The components of the coproduct are read
     top-down: the first tensor factor is D(mu_n, mu_{n+1})."""
-    instance = {"check": "restriction_factorization", "input": input_spec,
-                "fundamental": fundamental,
-                "chain_words": [list(w) for w in chain_words]}
-    datum, quiver = resolve_input(input_spec)
-    context = oracle_context(datum, contexts)
-    fundamental = resolve_word(datum, (fundamental,), quiver)[0]
-    words = [resolve_word(datum, w, quiver) for w in chain_words]
+    fundamental = resolve_word(datum, (entry["fundamental"],), quiver)[0]
+    words = [resolve_word(datum, w, quiver) for w in entry["chain_words"]]
     lam = datum.fundamental_weight(fundamental)
     # The minors of consecutive links, top link first; each one's weight
     # eta - mu is the link's step.
@@ -287,21 +282,17 @@ def check_restriction_factorization(input_spec, fundamental, chain_words,
              for lower, higher in zip(words, words[1:])][::-1]
     for link in links:
         if link.weight.is_zero() or any(c < 0 for c in link.weight.coords):
-            return VerificationReport(
-                "restriction_factorization", instance, "fail",
-                "chain is not strictly dominance-increasing")
+            raise CheckFailed("chain is not strictly dominance-increasing")
     big = minor_to_shuffle(MinorSpec(lam, words[0], words[-1]), context)
     parts = [link.weight for link in links]
     factors = [minor_to_shuffle(link, context) for link in links]
     split = coproduct_components(big, parts)
     expected = tensor_of_elements(factors)
-    if split == expected:
-        return VerificationReport("restriction_factorization", instance,
-                                  "pass", "%d tensor factors" % len(links))
-    return VerificationReport(
-        "restriction_factorization", instance, "fail",
-        "components differ from the tensor of minors",
-        {"split_terms": len(split), "expected_terms": len(expected)})
+    if split != expected:
+        raise CheckFailed("components differ from the tensor of minors",
+                          {"split_terms": len(split),
+                           "expected_terms": len(expected)})
+    return "%d tensor factors" % len(links)
 
 
 def check_dual_canonical_conditions(element: ShuffleElement) \
@@ -335,64 +326,26 @@ def check_dual_canonical_conditions(element: ShuffleElement) \
                               "extremal word " + ",".join(str(x) for x in word))
 
 
-def realized_exchange_graph(datum, word, quiver=None, bound=200,
-                            context=None) -> list:
-    """The seeds of the exchange graph of oracle_seed_data's seed, in
-    enumerate_exchange_graph's order: its cluster variables are shuffle
-    elements, each computed once by the exchange step mutated_variable.
-    Raises RuntimeError when the graph has more than `bound` seeds.
-
-    A complete graph is kept in context.graphs, keyed by the word (its
-    letters resolved as initial_pair resolves them) and the quiver, so one
-    verify call realizes each graph once; a later lookup raises as the
-    enumeration would, when the stored graph has more seeds than its bound
-    (the initial seed is stored whatever the bound)."""
-    graphs = {} if context is None else context.graphs
-    key = (resolve_word(datum, word, quiver), None if quiver is None else (
-        quiver.vertices, quiver.edges,
-        frozenset(quiver.automorphism.items())))
-    seeds = graphs.get(key)
-    if seeds is None:
-        graph = enumerate_exchange_graph(
-            oracle_seed_data(datum, word, quiver, context), bound)
-        if not graph.complete:
-            raise RuntimeError("exchange graph exceeded bound")
-        seeds = graphs[key] = graph.seeds
-    elif len(seeds) > max(bound, 1):
-        raise RuntimeError("exchange graph exceeded bound")
-    return seeds
-
-
-def check_word_independence(input_spec, word1, word2, bound=200,
-                            contexts=None) -> VerificationReport:
+def check_word_independence(entry, datum, quiver, context) -> str:
     """Two reduced words for the same element yield identical sets of
     cluster variables, compared as shuffle elements."""
-    instance = {"check": "word_independence", "input": input_spec,
-                "words": [list(word1), list(word2)], "bound": bound}
-    datum, quiver = resolve_input(input_spec)
-    w1 = resolve_word(datum, word1, quiver)
-    w2 = resolve_word(datum, word2, quiver)
+    words = entry["words"]
+    w1 = resolve_word(datum, words[0], quiver)
+    w2 = resolve_word(datum, words[1], quiver)
     if not (is_reduced(datum, w1) and is_reduced(datum, w2)):
-        return VerificationReport("word_independence", instance, "fail",
-                                  "a word is not reduced")
+        raise CheckFailed("a word is not reduced")
     if not weyl_equal(datum, w1, w2):
-        return VerificationReport("word_independence", instance, "fail",
-                                  "words give different elements")
-    context = oracle_context(datum, contexts)
+        raise CheckFailed("words give different elements")
     first, second = (
-        {el for seed in realized_exchange_graph(datum, w, quiver, bound,
+        {el for seed in realized_exchange_graph(datum, w, entry["bound"],
                                                 context)
          for el in seed.variables.values()}
-        for w in (word1, word2))
-    if first == second:
-        return VerificationReport(
-            "word_independence", instance, "pass",
-            "%d distinct cluster variables" % len(first))
-    return VerificationReport(
-        "word_independence", instance, "fail",
-        "variable sets differ",
-        {"only_first": _sorted_json(first - second),
-         "only_second": _sorted_json(second - first)})
+        for w in (w1, w2))
+    if first != second:
+        raise CheckFailed("variable sets differ",
+                          {"only_first": _sorted_json(first - second),
+                           "only_second": _sorted_json(second - first)})
+    return "%d distinct cluster variables" % len(first)
 
 
 def _sorted_json(elements) -> list:
@@ -401,13 +354,13 @@ def _sorted_json(elements) -> list:
                   key=lambda x: json.dumps(x, sort_keys=True))
 
 
-def check_cluster_monomials(input_spec, word, max_exponent=1, contexts=None) \
-        -> VerificationReport:
+def check_cluster_monomials(entry, datum, quiver, context) -> str:
     """Every cluster monomial from the full exchange graph passes the
     dual-canonical-type shadow conditions: exponents up to max_exponent of
     total degree at most 2, and the square of every variable.  So every
     max_exponent >= 1 checks the same monomials, of total degree 1 or 2,
-    and 0 checks the squares alone.
+    and 0 checks the squares alone.  The graph has at most as many seeds
+    as word_independence's default bound.
 
     Seeds that share variables share monomials, and each distinct monomial
     is built and checked once per call.  It is keyed by the g-vectors and
@@ -419,18 +372,16 @@ def check_cluster_monomials(input_spec, word, max_exponent=1, contexts=None) \
     those degrees and that Lambda block.  A failure ends the call, so only
     passing keys are kept; the first failing exponents are those of the
     seed-by-seed loop.  The details count every (seed, exponent) pair."""
-    instance = {"check": "cluster_monomials", "input": input_spec,
-                "word": list(word), "max_exponent": max_exponent}
-    datum, quiver = resolve_input(input_spec)
-    seeds = realized_exchange_graph(datum, word, quiver, 200,
-                                    oracle_context(datum, contexts))
+    seeds = realized_exchange_graph(
+        datum, resolve_word(datum, entry["word"], quiver),
+        CHECKS["word_independence"][1]["bound"], context)
+    top = min(entry["max_exponent"], 2)
     passed = set()
     tested = 0
     for seed in seeds:
         labels = seed.pair.labels
         combos = [dict(zip(labels, exps)) for exps in itertools.product(
-            range(min(max_exponent, 2) + 1), repeat=len(labels))
-            if 0 < sum(exps) <= 2]
+            range(top + 1), repeat=len(labels)) if 0 < sum(exps) <= 2]
         for s in labels:
             c = dict.fromkeys(labels, 0)
             c[s] = 2
@@ -447,34 +398,52 @@ def check_cluster_monomials(input_spec, word, max_exponent=1, contexts=None) \
             monomial = normalized_shuffle_monomial(a, seed)
             report = check_dual_canonical_conditions(monomial)
             if not report.passed:
-                return replace(report, check="cluster_monomials",
-                               instance=dict(instance, exponents={
-                                   str(k): v for k, v in a.items()}))
+                raise CheckFailed(report.details, report.witness, exponents={
+                    str(k): v for k, v in a.items()})
             passed.add(key)
-    return VerificationReport("cluster_monomials", instance, "pass",
-                              "%d monomials over %d seeds"
-                              % (tested, len(seeds)))
+    return "%d monomials over %d seeds" % (tested, len(seeds))
 
 
-def check_negative_control(contexts=None) -> VerificationReport:
+def check_negative_control(entry, datum, quiver, context) -> str:
     """A deliberately perturbed element must fail the dual-canonical check
-    (guards against vacuous passes)."""
-    instance = {"check": "negative_control"}
-    datum = cartan_datum("A", 2)
+    (guards against vacuous passes).  The kind has no input field, and
+    run_check gives it A2: the element is a minor of A2 times q."""
     d = minor_to_shuffle(MinorSpec(datum.fundamental_weight(2), (1, 2)),
-                         oracle_context(datum, contexts))
+                         context)
     bad = d.scale(LaurentScalar.q_power(1))
-    report = check_dual_canonical_conditions(bad)
-    if report.passed:
-        return VerificationReport("negative_control", instance, "fail",
-                                  "perturbed element passed")
-    return VerificationReport("negative_control", instance, "pass",
-                              "perturbed element failed as expected")
+    if check_dual_canonical_conditions(bad).passed:
+        raise CheckFailed("perturbed element passed")
+    return "perturbed element failed as expected"
 
 
 # ---------------------------------------------------------------------------
 # Catalog runner
 # ---------------------------------------------------------------------------
+
+REQUIRED = object()
+
+# kind -> (check, {field: default or REQUIRED}).  A missing required field
+# is a KeyError naming it, and the fields are read in this order.
+CHECKS = {
+    "initial_lambda": (check_initial_lambda,
+                       {"input": REQUIRED, "word": REQUIRED}),
+    "exchange_relation": (check_exchange_relation,
+                          {"input": REQUIRED, "word": REQUIRED,
+                           "direction": REQUIRED}),
+    "square_identity": (check_square_identity,
+                        {"input": REQUIRED, "fundamental": REQUIRED,
+                         "word_mu": REQUIRED}),
+    "restriction_factorization": (check_restriction_factorization,
+                                  {"input": REQUIRED, "fundamental": REQUIRED,
+                                   "chain_words": REQUIRED}),
+    "cluster_monomials": (check_cluster_monomials,
+                          {"input": REQUIRED, "word": REQUIRED,
+                           "max_exponent": 1}),
+    "word_independence": (check_word_independence,
+                          {"input": REQUIRED, "words": REQUIRED,
+                           "bound": 200}),
+    "negative_control": (check_negative_control, {}),
+}
 
 
 def load_catalog(name: str) -> list:
@@ -483,31 +452,29 @@ def load_catalog(name: str) -> list:
 
 
 def run_check(entry: dict, contexts=None) -> VerificationReport:
-    """Run one catalog entry, on the oracle contexts of one verify call
-    (see oracle_context); without them the check makes its own."""
+    """Run one catalog entry.  contexts maps a Cartan datum to the
+    OracleContext that one verify call shares across its checks, made here
+    on first use; without it the check gets a fresh context."""
     kind = entry["check"]
-    if kind == "initial_lambda":
-        return check_initial_lambda(entry["input"], entry["word"], contexts)
-    if kind == "exchange_relation":
-        return check_exchange_relation(entry["input"], entry["word"],
-                                       entry["direction"], contexts)
-    if kind == "square_identity":
-        return check_square_identity(entry["input"], entry["fundamental"],
-                                     entry["word_mu"], contexts)
-    if kind == "restriction_factorization":
-        return check_restriction_factorization(
-            entry["input"], entry["fundamental"], entry["chain_words"],
-            contexts)
-    if kind == "cluster_monomials":
-        return check_cluster_monomials(entry["input"], entry["word"],
-                                       entry.get("max_exponent", 1), contexts)
-    if kind == "word_independence":
-        return check_word_independence(entry["input"], entry["words"][0],
-                                       entry["words"][1],
-                                       entry.get("bound", 200), contexts)
-    if kind == "negative_control":
-        return check_negative_control(contexts)
-    raise ValueError("unknown check kind %r" % kind)
+    if kind not in CHECKS:
+        raise ValueError("unknown check kind %r" % kind)
+    check, fields = CHECKS[kind]
+    instance = {"check": kind}
+    for name, default in fields.items():
+        instance[name] = entry[name] if default is REQUIRED \
+            else entry.get(name, default)
+    # The one kind without an input field, the negative control, runs on A2.
+    datum, quiver = resolve_input(instance.get("input", {"type": ["A", 2]}))
+    if contexts is None:
+        contexts = {}
+    if datum not in contexts:
+        contexts[datum] = OracleContext(datum)
+    try:
+        details = check(instance, datum, quiver, contexts[datum])
+    except CheckFailed as failure:
+        return VerificationReport(kind, dict(instance, **failure.instance),
+                                  "fail", failure.details, failure.witness)
+    return VerificationReport(kind, instance, "pass", details)
 
 
 def bounded_entry(entry: dict, max_steps) -> dict:

@@ -14,13 +14,16 @@ from __future__ import annotations
 import itertools
 
 from qfold import verify
+from qfold.initquiver import resolve_word
+from qfold.uqn import OracleContext
 
 
 def check_cluster_monomials(input_spec, word, max_exponent=1):
     instance = {"check": "cluster_monomials", "input": input_spec,
                 "word": list(word), "max_exponent": max_exponent}
     datum, quiver = verify.resolve_input(input_spec)
-    seeds = verify.realized_exchange_graph(datum, word, quiver)
+    seeds = verify.realized_exchange_graph(
+        datum, resolve_word(datum, word, quiver), 200, OracleContext(datum))
     tested = 0
     for seed in seeds:
         labels = seed.pair.labels

@@ -1,4 +1,4 @@
-"""Random compatible pairs for property tests.
+"""Random compatible pairs for property tests, and ungraded quantum tori.
 
 Construction: pick a random skew-symmetrizable principal part B0 (via
 e_i b_ij = -e_j b_ji), append an identity block of frozen rows, and take
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 
-from qfold.qcluster import CompatiblePair, mutate_pair
+from qfold.qcluster import CompatiblePair, QuantumTorus, mutate_pair
 
 
 def random_compatible_pair(rng: random.Random, max_rank: int = 3,
@@ -40,3 +40,9 @@ def random_compatible_pair(rng: random.Random, max_rank: int = 3,
         for _ in range(rng.randint(0, 3)):
             pair = mutate_pair(pair, rng.choice(pair.exchangeable))
     return pair
+
+
+def ungraded_torus(labels, lam) -> QuantumTorus:
+    """The quantum torus of labels and lam with a zero degree pairing, for
+    a torus used without a grading."""
+    return QuantumTorus(labels, lam, tuple((0,) * len(labels) for _ in labels))

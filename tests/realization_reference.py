@@ -106,10 +106,10 @@ def _exchange_rhs(pair, k, variables, degrees):
         + monomial(a_minus).scale(LaurentScalar.q_power(e_k))
 
 
-def realized_exchange_graph(datum, word, quiver=None, bound=200):
-    """(torus seeds of the exchange graph, one {label: shuffle element}
-    per seed)."""
-    realized = oracle_seed_data(datum, word, quiver)
+def realized_exchange_graph(datum, word, bound=200):
+    """(torus seeds of the exchange graph of a word over the datum's
+    indices, one {label: shuffle element} per seed)."""
+    realized = oracle_seed_data(datum, word)
     seed = initial_seed(realized.pair, realized.degrees)
     minors = realized.variables
     graph = enumerate_exchange_graph(seed, bound)

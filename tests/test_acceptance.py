@@ -39,15 +39,7 @@ from qfold.uqn import (
     extremal_word,
     shuffle_product,
 )
-from qfold.verify import (
-    check_cluster_monomials,
-    check_exchange_relation,
-    check_initial_lambda,
-    check_restriction_factorization,
-    check_square_identity,
-    check_word_independence,
-    resolve_input,
-)
+from qfold.verify import oracle_seed_data, resolve_input, run_check
 
 C2_INPUT = {"quiver": {"vertices": [1, 2, 3], "edges": [[1, 2], [3, 2]],
                        "automorphism": {"1": 3, "2": 2, "3": 1}}}
@@ -69,9 +61,8 @@ def _instance(tag):
         if name == tag:
             datum, quiver = resolve_input(input_spec)
             context = OracleContext(datum)
-            from qfold.verify import oracle_seed_data
             oword = resolve_word(datum, word, quiver)
-            seed = oracle_seed_data(datum, word, quiver, context)
+            seed = oracle_seed_data(datum, oword, context)
             return dict(input=input_spec, word=word, datum=datum,
                         quiver=quiver, oword=oword, minors=seed.variables,
                         context=context)
@@ -121,7 +112,8 @@ def test_criterion_03_oracle_qcommutation():
     try:
         start = time.time()
         for tag, input_spec, word in INSTANCES:
-            report = check_initial_lambda(input_spec, word)
+            report = run_check({"check": "initial_lambda",
+                                "input": input_spec, "word": list(word)})
             assert report.passed, (tag, report.details)
         elapsed = time.time() - start
         assert elapsed < 300.0, "took %.1fs" % elapsed
@@ -135,7 +127,9 @@ def test_criterion_04_exchange_relation():
     try:
         for input_spec, word in (({"type": ["A", 2]}, (1, 2, 1)),
                                  (C2_INPUT, (1, 2, 1, 2))):
-            report = check_exchange_relation(input_spec, word, 1)
+            report = run_check({"check": "exchange_relation",
+                                "input": input_spec, "word": list(word),
+                                "direction": 1})
             assert report.passed and report.status == "pass", report.details
         ok = True
     finally:
@@ -149,8 +143,10 @@ def test_criterion_05_minor_squaring():
             inst = _instance(tag)
             word = inst["word"]
             for t in range(1, len(word) + 1):
-                report = check_square_identity(inst["input"], word[t - 1],
-                                               word[:t])
+                report = run_check({"check": "square_identity",
+                                    "input": inst["input"],
+                                    "fundamental": word[t - 1],
+                                    "word_mu": list(word[:t])})
                 assert report.passed, (tag, t, report.details)
         ok = True
     finally:
@@ -175,9 +171,11 @@ def test_criterion_06_coproduct_factorization():
                         last = weight
                 if len(chain) < 2:
                     continue
-                report = check_restriction_factorization(
-                    inst["input"], inst["word"][t - 1],
-                    [_refold(inst, w) for w in chain])
+                report = run_check({
+                    "check": "restriction_factorization",
+                    "input": inst["input"],
+                    "fundamental": inst["word"][t - 1],
+                    "chain_words": [_refold(inst, w) for w in chain]})
                 assert report.passed, (tag, t, report.details)
                 checked += 1
         assert checked >= 6
@@ -236,7 +234,8 @@ def test_criterion_08_extremal_words():
 def test_criterion_09_cluster_monomials():
     ok = False
     try:
-        report = check_cluster_monomials({"type": ["A", 2]}, (1, 2, 1))
+        report = run_check({"check": "cluster_monomials",
+                            "input": {"type": ["A", 2]}, "word": [1, 2, 1]})
         assert report.passed, report.details
         assert "2 seeds" in report.details
         ok = True
@@ -248,13 +247,15 @@ def test_criterion_10_word_independence(slow_enabled):
     ok = False
     suffix = ""
     try:
-        report = check_word_independence({"type": ["A", 2]},
-                                         (1, 2, 1), (2, 1, 2))
+        report = run_check({"check": "word_independence",
+                            "input": {"type": ["A", 2]},
+                            "words": [[1, 2, 1], [2, 1, 2]]})
         assert report.passed and "4 distinct" in report.details
         if slow_enabled:
-            report = check_word_independence(
-                {"type": ["A", 3]},
-                (1, 2, 1, 3, 2, 1), (2, 1, 2, 3, 2, 1), bound=64)
+            report = run_check({
+                "check": "word_independence", "input": {"type": ["A", 3]},
+                "words": [[1, 2, 1, 3, 2, 1], [2, 1, 2, 3, 2, 1]],
+                "bound": 64})
             assert report.passed, report.details
             suffix = " (incl. slow A3)"
         ok = True
@@ -279,8 +280,8 @@ def test_criterion_11_convexity():
 def test_criterion_12_classical_limit():
     ok = False
     try:
-        datum, quiver = resolve_input({"type": ["A", 2]})
-        seed = initial_seed(*initial_pair(datum, (1, 2, 1), quiver))
+        datum, _ = resolve_input({"type": ["A", 2]})
+        seed = initial_seed(*initial_pair(datum, (1, 2, 1)))
         graph = enumerate_exchange_graph(seed)
         assert graph.complete and len(graph.seeds) == 2
 

@@ -13,10 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import division_reference as reference
+from pair_generators import ungraded_torus
 from qfold import uqn
 from qfold.cli import main
 from qfold.laurent import ONE, ZERO, LaurentDivisionError, LaurentScalar
-from qfold.qcluster import QuantumTorus, TorusDivisionError, left_divide
+from qfold.qcluster import TorusDivisionError, left_divide
 from qfold.rootdata import Root, cartan_datum
 from qfold.uqn import (
     ShuffleDivisionError,
@@ -162,7 +163,7 @@ def test_wrong_solution_is_caught_by_the_product_check(monkeypatch):
         shuffle_divide_left(a, product)
 
 
-X1 = QuantumTorus((1, 2), ((0, 3), (-3, 0))).element({(1, 0): ONE})
+X1 = ungraded_torus((1, 2), ((0, 3), (-3, 0))).element({(1, 0): ONE})
 
 # Four divisions whose only quotient is 1/2: none of them has a quotient in
 # Z[q, q^-1], so each is refused (the solver by returning None).

@@ -7,9 +7,9 @@ from __future__ import annotations
 import pytest
 
 import exchange_graph_reference as reference
-from test_verify import C2_QUIVER, REALIZED_GRAPHS
+from test_verify import C2_QUIVER, REALIZED_GRAPHS, realized
 from qfold import qcluster
-from qfold.initquiver import initial_pair
+from qfold.initquiver import initial_pair, resolve_word
 from qfold.qcluster import (
     CompatibilityError,
     ParityError,
@@ -19,7 +19,7 @@ from qfold.qcluster import (
     initial_seed,
     mutate_seed,
 )
-from qfold.verify import realized_exchange_graph, resolve_input
+from qfold.verify import resolve_input
 
 G2_FROM_D4 = {"quiver": {"vertices": [1, 2, 3, 4],
                          "edges": [[1, 2], [3, 2], [4, 2]],
@@ -34,7 +34,7 @@ GRAPHS = REALIZED_GRAPHS + [
 
 def _initial_seed(input_spec, word):
     datum, quiver = resolve_input(input_spec)
-    return initial_seed(*initial_pair(datum, word, quiver))
+    return initial_seed(*initial_pair(datum, resolve_word(datum, word, quiver)))
 
 
 def _counted_enumeration(monkeypatch, seed):
@@ -152,8 +152,7 @@ def test_shuffle_side_computes_each_variable_once(input_spec, word, slow,
     exchange_step = qcluster.mutated_variable
     monkeypatch.setattr(qcluster, "mutated_variable",
                         lambda s, k: calls.append(k) or exchange_step(s, k))
-    datum, quiver = resolve_input(input_spec)
-    seeds = realized_exchange_graph(datum, word, quiver)
+    seeds = realized(input_spec, word)
     labels = seeds[0].pair.labels
     distinct = {seed.g[s] for seed in seeds for s in labels}
     assert len(calls) == len(distinct) - len(labels)
@@ -177,13 +176,12 @@ def test_shuffle_graph_is_the_torus_graph_without_torus_arithmetic(
             return fn(*args)
         return wrapper
 
-    datum, quiver = resolve_input(input_spec)
     with monkeypatch.context() as patch:
         patch.setattr(qcluster.TorusElement, "__mul__", counted(
             "torus_mul", qcluster.TorusElement.__mul__))
         patch.setattr(qcluster, "left_divide",
                       counted("left_divide", qcluster.left_divide))
-        seeds = realized_exchange_graph(datum, word, quiver)
+        seeds = realized(input_spec, word)
     assert calls == {"torus_mul": 0, "left_divide": 0}
     expected = enumerate_exchange_graph(_initial_seed(input_spec, word)).seeds
     assert [(s.pair, s.degrees, s.g, s.c) for s in seeds] \

@@ -168,7 +168,7 @@ def test_layer_scan_catches_an_import_from_above(tmp_path):
 # Module-level names that may hold a dict, list or set: constants built at
 # import and never written to.
 MODULE_CONTAINERS = {"__all__", "CONFIG_SCHEMA", "CONFIG_VALIDATOR",
-                     "COMMANDS"}
+                     "COMMANDS", "CHECKS"}
 CONTAINER_NODES = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp,
                    ast.SetComp)
 CONTAINER_CALLS = {"dict", "list", "set", "defaultdict", "OrderedDict",

@@ -291,7 +291,7 @@ def test_initial_b_is_the_orbit_summed_staircase(name, data):
     datum = fold(quiver).datum
     word = _reduced_prefix(datum, data.draw(st.lists(
         st.sampled_from(datum.indices), min_size=1, max_size=12)))
-    pair, _ = initial_pair(datum, word, quiver)
+    pair, _ = initial_pair(datum, word)
     exchange = fold_exchange_matrix(*staircase(datum, word, quiver))
     assert pair.exchangeable == tuple(exchange.labels.index(o) + 1
                                       for o in exchange.exchangeable)
@@ -354,7 +354,7 @@ def lockstep_pairs(quiver, cap, unfolded=None):
     datum = fold(quiver).datum
     word = longest_word(datum)
     unfolded_word, orbits, _ = vertex_orbits_from_unfolding(word, quiver)
-    folded, _ = initial_pair(datum, word, quiver)
+    folded, _ = initial_pair(datum, word)
     if unfolded is None:
         unfolded, _ = initial_pair(underlying_datum(quiver), unfolded_word)
     yield folded, unfolded, orbits
@@ -439,7 +439,7 @@ def test_type_input_matches_its_folded_quiver(family_rank, quiver, data):
         st.sampled_from(datum.indices), min_size=1, max_size=20)))
     pair, degrees = initial_pair(datum, word)
     orbits = tuple(folded.orbits[i - 1] for i in word)
-    folded_pair, folded_degrees = initial_pair(folded.datum, orbits, quiver)
+    folded_pair, folded_degrees = initial_pair(folded.datum, orbits)
     assert folded_pair == pair, word
     assert {t: b.coords for t, b in folded_degrees.items()} \
         == {t: b.coords for t, b in degrees.items()}

@@ -107,6 +107,17 @@ def test_divexact_errors():
         parse_scalar("q + 1").divexact(parse_scalar("q + 2"))
     with pytest.raises(LaurentDivisionError):
         ONE.divexact(ZERO)
+    with pytest.raises(LaurentDivisionError):
+        ONE.divexact(0)
+
+
+@pytest.mark.parametrize("divisor", [Fraction(1, 2), Fraction(2), 2.0, "q"],
+                         ids=["fraction", "integral-fraction", "float", "str"])
+def test_divexact_rejects_a_divisor_outside_the_ring(divisor):
+    # A divisor that is not in Z[q, q^-1] is a type error, not a division
+    # by zero.
+    with pytest.raises(TypeError):
+        ONE.divexact(divisor)
 
 
 def test_divexact_roundtrip_random():

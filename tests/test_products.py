@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import product_reference
+from pair_generators import ungraded_torus
 from qfold.laurent import LaurentScalar
-from qfold.qcluster import QuantumTorus
 from qfold.rootdata import Root, cartan_datum
 from qfold.uqn import ShuffleElement, shuffle_product, words_of_weight
 
@@ -50,7 +50,7 @@ def torus_pairs(draw):
         for j in range(i + 1, m):
             lam[i][j] = draw(st.integers(-3, 3))
             lam[j][i] = -lam[i][j]
-    torus = QuantumTorus(tuple(range(1, m + 1)), tuple(map(tuple, lam)))
+    torus = ungraded_torus(tuple(range(1, m + 1)), tuple(map(tuple, lam)))
     exponents = st.tuples(*[st.integers(-2, 2)] * m)
     elements = st.dictionaries(exponents, _scalars, max_size=4).map(
         torus.element)

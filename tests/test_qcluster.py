@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pair_generators import random_compatible_pair
+from pair_generators import random_compatible_pair, ungraded_torus
 from scalar_parser import parse_scalar
 from qfold.laurent import ONE
 from qfold.qcluster import (
@@ -148,7 +148,7 @@ def test_mutate_pair_frozen_direction_rejected():
 
 
 def test_torus_arithmetic():
-    torus = QuantumTorus((1, 2), ((0, 3), (-3, 0)))
+    torus = ungraded_torus((1, 2), ((0, 3), (-3, 0)))
     x1, x2 = torus.generator(1), torus.generator(2)
     assert x1 * x2 == torus.element({(1, 1): ONE})
     # X2 X1 = q^{lambda_21} X1 X2.
@@ -161,7 +161,7 @@ def test_torus_arithmetic():
 
 
 def test_torus_exponents_must_be_integers():
-    torus = QuantumTorus((1, 2), ((0, 3), (-3, 0)))
+    torus = ungraded_torus((1, 2), ((0, 3), (-3, 0)))
     for bad in ((1.0, 0), (0.5, 1), (Fraction(1, 2), 0), (Fraction(2), 1)):
         with pytest.raises(TypeError):
             torus.element({bad: ONE})
@@ -171,7 +171,7 @@ def test_torus_exponents_must_be_integers():
 
 def test_torus_bar_plain():
     # Without a grading the bar is the plain reversing antiautomorphism.
-    torus = QuantumTorus((1, 2), ((0, 1), (-1, 0)))
+    torus = ungraded_torus((1, 2), ((0, 1), (-1, 0)))
     x1, x2 = torus.generator(1), torus.generator(2)
     prod = x1 * x2
     assert prod.bar() == torus.element({(1, 1): parse_scalar("q^-1")})
@@ -190,7 +190,7 @@ def test_torus_bar_with_degree_twist():
 
 
 def test_left_divide():
-    torus = QuantumTorus((1, 2), ((0, 1), (-1, 0)))
+    torus = ungraded_torus((1, 2), ((0, 1), (-1, 0)))
     x1, x2 = torus.generator(1), torus.generator(2)
     rng = random.Random(31)
     for _ in range(25):
@@ -207,7 +207,7 @@ def test_left_divide():
 
 
 def _three_generator_torus():
-    torus = QuantumTorus((1, 2, 3), ((0, 1, 0), (-1, 0, 1), (0, -1, 0)))
+    torus = ungraded_torus((1, 2, 3), ((0, 1, 0), (-1, 0, 1), (0, -1, 0)))
     return torus, [torus.generator(i) for i in (1, 2, 3)]
 
 
@@ -404,7 +404,7 @@ def test_seed_canonical_key_order_insensitive():
 
 
 def test_specialize_classical():
-    torus = QuantumTorus((1, 2), ((0, 1), (-1, 0)))
+    torus = ungraded_torus((1, 2), ((0, 1), (-1, 0)))
     x = torus.element({(1, 0): parse_scalar("q^5 - 3"),
                        (0, 1): parse_scalar("q - 1")})
     assert specialize_classical(x) == {(1, 0): -2}

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +15,7 @@ import realization_reference
 from minor_search_reference import reference_name
 from test_initquiver import _reduced_prefix
 from qfold import verify
-from qfold.initquiver import initial_pair
+from qfold.initquiver import initial_pair, resolve_word
 from qfold.laurent import LaurentScalar
 from qfold.qcluster import CompatiblePair, mutate_seed, normalized_monomial
 from qfold.rootdata import bilinear_form, cartan_datum
@@ -28,15 +29,9 @@ from qfold.uqn import (
     shuffle_product,
 )
 from qfold.verify import (
+    CHECKS,
     _name_among_minors,
-    check_cluster_monomials,
     check_dual_canonical_conditions,
-    check_exchange_relation,
-    check_initial_lambda,
-    check_negative_control,
-    check_restriction_factorization,
-    check_square_identity,
-    check_word_independence,
     load_catalog,
     normalized_shuffle_monomial,
     oracle_seed_data,
@@ -58,12 +53,27 @@ REALIZED_GRAPHS = [
 ]
 
 
+def run(kind, input_spec, contexts=None, **fields):
+    """run_check on the entry of a kind with an input and fields, written
+    as a JSON catalog holds it (tuples as lists)."""
+    entry = {"check": kind, "input": input_spec, **fields}
+    return run_check(json.loads(json.dumps(entry)), contexts)
+
+
+def realized(input_spec, word, bound=200, context=None):
+    """realized_exchange_graph of an input and a word over its letters, on
+    a fresh oracle context unless one is given."""
+    datum, quiver = resolve_input(input_spec)
+    return realized_exchange_graph(datum, resolve_word(datum, word, quiver),
+                                   bound, context or OracleContext(datum))
+
+
 def test_initial_lambda_pass():
-    r = check_initial_lambda(A2_INPUT, (1, 2, 1))
+    r = run("initial_lambda", A2_INPUT, word=(1, 2, 1))
     assert r.passed and "e = {'1': 1}" in r.details
-    r = check_initial_lambda({"type": ["A", 1]}, (1,))
+    r = run("initial_lambda", {"type": ["A", 1]}, word=(1,))
     assert r.passed
-    r = check_initial_lambda(C2_QUIVER, (1, 2, 1, 2))
+    r = run("initial_lambda", C2_QUIVER, word=(1, 2, 1, 2))
     assert r.passed and "'1': 2" in r.details
 
 
@@ -79,8 +89,8 @@ def test_resolve_input_rejects_a_float_rank():
 def test_initial_lambda_names_a_perturbed_entry(monkeypatch):
     # Negative control: Lambda off by 2 in one entry (parity kept) is caught
     # against the oracle's q-commutation, and the report names the pair.
-    def perturbed(datum, word, quiver=None):
-        pair, degrees = initial_pair(datum, word, quiver)
+    def perturbed(datum, word):
+        pair, degrees = initial_pair(datum, word)
         lam = [list(row) for row in pair.lam]
         lam[0][2] += 2
         lam[2][0] -= 2
@@ -88,7 +98,7 @@ def test_initial_lambda_names_a_perturbed_entry(monkeypatch):
                               pair.b), degrees
 
     monkeypatch.setattr(verify, "initial_pair", perturbed)
-    r = check_initial_lambda({"type": ["A", 3]}, (1, 2, 1, 3, 2, 1))
+    r = run("initial_lambda", {"type": ["A", 3]}, word=(1, 2, 1, 3, 2, 1))
     assert not r.passed and r.status == "fail"
     assert r.details.startswith("initial minors 1 and 3:")
     assert r.witness["pair"] == [1, 3]
@@ -132,8 +142,9 @@ def test_initial_pair_matches_the_oracle(input_spec, length):
     datum, quiver = resolve_input(input_spec)
 
     def check(word):
-        pair, degrees = initial_pair(datum, word, quiver)
-        minors = oracle_seed_data(datum, word, quiver).variables
+        word = resolve_word(datum, word, quiver)
+        pair, degrees = initial_pair(datum, word)
+        minors = oracle_seed_data(datum, word).variables
         assert degrees == {t: y.weight for t, y in minors.items()}
         for a, s in enumerate(pair.labels):
             for t in pair.labels[a + 1:]:
@@ -157,12 +168,12 @@ def test_initial_pair_matches_the_oracle(input_spec, length):
 @pytest.mark.parametrize("input_spec", [AFFINE_A1, TWISTED_A2],
                          ids=["A1-affine", "A2-twisted"])
 def test_initial_lambda_on_singular_cartan_data(input_spec):
-    r = check_initial_lambda(input_spec, (1, 2, 1, 2))
+    r = run("initial_lambda", input_spec, word=(1, 2, 1, 2))
     assert r.passed and r.status == "pass", r.details
 
 
 def test_exchange_relation_on_affine_a1():
-    r = check_exchange_relation(AFFINE_A1, (1, 2, 1, 2), 1)
+    r = run("exchange_relation", AFFINE_A1, word=(1, 2, 1, 2), direction=1)
     assert r.passed and r.status == "pass", r.details
 
 
@@ -171,18 +182,18 @@ def test_initial_lambda_on_symmetrizable_type_inputs():
     for family_rank, word in [(["C", 2], (1, 2, 1, 2)),
                               (["B", 3], (3, 2, 3, 1, 2)),
                               (["G", 2], (1, 2, 1, 2, 1, 2))]:
-        r = check_initial_lambda({"type": family_rank}, word)
+        r = run("initial_lambda", {"type": family_rank}, word=word)
         assert r.passed and r.status == "pass", (family_rank, r.details)
 
 
 def test_exchange_relation_a2():
-    r = check_exchange_relation(A2_INPUT, (1, 2, 1), 1)
+    r = run("exchange_relation", A2_INPUT, word=(1, 2, 1), direction=1)
     assert r.passed
     assert "theta*_2" in r.details or "w_2" in r.details
 
 
 def test_exchange_relation_c2_first_direction():
-    r = check_exchange_relation(C2_QUIVER, (1, 2, 1, 2), 1)
+    r = run("exchange_relation", C2_QUIVER, word=(1, 2, 1, 2), direction=1)
     assert r.passed
 
 
@@ -191,7 +202,7 @@ def test_exchange_relation_infinite_type_names_by_element():
     # the details spell out the element.
     spec = {"indices": [1, 2, 3], "symmetrizers": [1, 1, 1],
             "cartan": [[2, -1, 0], [-1, 2, -2], [0, -2, 2]]}
-    r = check_exchange_relation(spec, (2, 3, 2), 1)
+    r = run("exchange_relation", spec, word=(2, 3, 2), direction=1)
     assert r.passed
     assert r.details == ("Y_1' = (q^2 + 2 + q^-2)*[3,2,3,2,2] + "
                          "(q^4 + 3*q^2 + 4 + 3*q^-2 + q^-4)*[3,3,2,2,2]")
@@ -202,8 +213,8 @@ def test_minor_names_match_exhaustive_search(input_spec, word, slow,
                                              slow_enabled):
     if slow and not slow_enabled:
         pytest.skip("needs --slow")
-    datum, quiver = resolve_input(input_spec)
-    seeds = realized_exchange_graph(datum, word, quiver)
+    datum, _ = resolve_input(input_spec)
+    seeds = realized(input_spec, word)
     context = OracleContext(datum)
     names = []
     for element in dict.fromkeys(el for seed in seeds
@@ -215,15 +226,15 @@ def test_minor_names_match_exhaustive_search(input_spec, word, slow,
 
 
 def test_exchange_relation_frozen_direction_fails():
-    r = check_exchange_relation(A2_INPUT, (1, 2, 1), 3)
+    r = run("exchange_relation", A2_INPUT, word=(1, 2, 1), direction=3)
     assert not r.passed
 
 
 def test_square_identity_and_sign_negative_control():
-    r = check_square_identity(A2_INPUT, 2, (1, 2))
+    r = run("square_identity", A2_INPUT, fundamental=2, word_mu=(1, 2))
     assert r.passed and "exponent -1" in r.details
     # mu = zeta: both sides are the unit, exponent 0.
-    r = check_square_identity(A2_INPUT, 2, ())
+    r = run("square_identity", A2_INPUT, fundamental=2, word_mu=())
     assert r.passed and "exponent 0" in r.details
     # Negative control: the opposite exponent sign genuinely fails.
     datum = cartan_datum("A", 2)
@@ -236,14 +247,16 @@ def test_square_identity_and_sign_negative_control():
 
 
 def test_restriction_factorization():
-    r = check_restriction_factorization(A2_INPUT, 2, [(1, 2), (2,), ()])
+    r = run("restriction_factorization", A2_INPUT, fundamental=2,
+            chain_words=[(1, 2), (2,), ()])
     assert r.passed
     # Wrong chain ordering is rejected.
-    r = check_restriction_factorization(A2_INPUT, 2, [(), (2,), (1, 2)])
+    r = run("restriction_factorization", A2_INPUT, fundamental=2,
+            chain_words=[(), (2,), (1, 2)])
     assert not r.passed
     # So is a repeated weight: s2 s1 w2 = s2 w2, a link of weight zero.
-    r = check_restriction_factorization(A2_INPUT, 2,
-                                        [(1, 2), (2,), (2, 1), ()])
+    r = run("restriction_factorization", A2_INPUT, fundamental=2,
+            chain_words=[(1, 2), (2,), (2, 1), ()])
     assert r.details == "chain is not strictly dominance-increasing"
 
 
@@ -263,7 +276,7 @@ def test_dual_canonical_and_extremal_word():
 
 
 def test_negative_control_check():
-    assert check_negative_control().passed
+    assert run_check({"check": "negative_control"}).passed
 
 
 def test_dual_canonical_coefficient_negative_control():
@@ -281,18 +294,19 @@ def test_dual_canonical_coefficient_negative_control():
 
 def test_cluster_monomials_a2():
     # The details count (seed, exponent) pairs, repeats included.
-    r = check_cluster_monomials(A2_INPUT, (1, 2, 1))
+    r = run("cluster_monomials", A2_INPUT, word=(1, 2, 1))
     assert r.passed and r.details == "18 monomials over 2 seeds"
     # Total degree is capped at 2 and squares are always added, so every
     # max_exponent >= 1 checks one set; 0 checks the squares alone.
     for max_exponent, details in [(2, r.details),
                                   (0, "6 monomials over 2 seeds")]:
-        again = check_cluster_monomials(A2_INPUT, (1, 2, 1), max_exponent)
+        again = run("cluster_monomials", A2_INPUT, word=(1, 2, 1),
+                    max_exponent=max_exponent)
         assert again.passed and again.details == details
 
 
 def test_cluster_monomials_c2():
-    r = check_cluster_monomials(C2_QUIVER, (1, 2, 1, 2))
+    r = run("cluster_monomials", C2_QUIVER, word=(1, 2, 1, 2))
     assert r.passed and r.details == "84 monomials over 6 seeds"
 
 
@@ -317,7 +331,8 @@ def test_cluster_monomials_check_each_monomial_once(input_spec, word,
     monkeypatch.setattr(verify, "check_dual_canonical_conditions", counted)
     for _ in range(2):
         calls.append(0)
-        assert check_cluster_monomials(input_spec, word).to_json() == expected
+        assert run("cluster_monomials", input_spec,
+                   word=word).to_json() == expected
     assert calls == [distinct, distinct]
 
 
@@ -326,8 +341,7 @@ def test_cluster_monomials_tell_seeds_apart_by_lambda(monkeypatch):
     # lambda_st is moved by 2 (parity and skew-symmetry kept), so there
     # Y_s Y_t is a q-power times a bar-invariant element.  A verdict keyed
     # by the g-vectors alone would be seed 0's pass.
-    datum, quiver = resolve_input(A3_INPUT)
-    seeds = realized_exchange_graph(datum, A3_W0, quiver)
+    seeds = realized(A3_INPUT, A3_W0)
     seed = seeds[1]
     s, t = [x for x in seed.pair.labels if seed.g[x] == seeds[0].g[x]][:2]
     lam = [list(row) for row in seed.pair.lam]
@@ -337,7 +351,7 @@ def test_cluster_monomials_tell_seeds_apart_by_lambda(monkeypatch):
         seed, pair=dataclasses.replace(seed.pair, lam=lam))
     monkeypatch.setattr(verify, "realized_exchange_graph",
                         lambda *args: seeds)
-    r = check_cluster_monomials(A3_INPUT, A3_W0)
+    r = run("cluster_monomials", A3_INPUT, word=A3_W0)
     assert (r.status, r.details) == ("fail", "not bar-invariant")
     assert r.check == r.instance["check"] == "cluster_monomials"
     exponents = {str(x): int(x in (s, t)) for x in seed.pair.labels}
@@ -362,16 +376,16 @@ def test_cluster_monomial_exponents_do_not_depend_on_max_exponent(
     # for every max_exponent, so the same counts and the same first failing
     # exponents.
     for max_exponent in (3, 50):
-        assert check_cluster_monomials(
-            A2_INPUT, (1, 2, 1), max_exponent).to_json() == _pinned_report(
+        assert run("cluster_monomials", A2_INPUT, word=(1, 2, 1),
+                   max_exponent=max_exponent).to_json() == _pinned_report(
                 "18 monomials over 2 seeds", A2_INPUT, (1, 2, 1), max_exponent)
-    assert check_cluster_monomials(A3_INPUT, A3_W0, 3).to_json() \
+    assert run("cluster_monomials", A3_INPUT, word=A3_W0,
+               max_exponent=3).to_json() \
         == _pinned_report("378 monomials over 14 seeds", A3_INPUT, A3_W0, 3)
     # The Lambda-perturbed control of
     # test_cluster_monomials_tell_seeds_apart_by_lambda fails at the same
     # exponents with max_exponent 3.
-    datum, quiver = resolve_input(A3_INPUT)
-    seeds = realized_exchange_graph(datum, A3_W0, quiver)
+    seeds = realized(A3_INPUT, A3_W0)
     seed = seeds[1]
     s, t = [x for x in seed.pair.labels if seed.g[x] == seeds[0].g[x]][:2]
     lam = [list(row) for row in seed.pair.lam]
@@ -382,33 +396,34 @@ def test_cluster_monomial_exponents_do_not_depend_on_max_exponent(
     monkeypatch.setattr(verify, "realized_exchange_graph",
                         lambda *args: seeds)
     assert (s, t) == (2, 3)
-    assert check_cluster_monomials(A3_INPUT, A3_W0, 3).to_json() \
+    assert run("cluster_monomials", A3_INPUT, word=A3_W0,
+               max_exponent=3).to_json() \
         == _pinned_report("not bar-invariant", A3_INPUT, A3_W0, 3,
                           exponents={"1": 0, "2": 1, "3": 1, "4": 0, "5": 0,
                                      "6": 0})
 
 
 def test_word_independence_a2():
-    r = check_word_independence(A2_INPUT, (1, 2, 1), (2, 1, 2))
+    r = run("word_independence", A2_INPUT, words=[(1, 2, 1), (2, 1, 2)])
     assert r.passed and "4 distinct" in r.details
 
 
 def test_word_independence_rejects_distinct_elements():
-    r = check_word_independence(A2_INPUT, (1, 2), (2, 1))
+    r = run("word_independence", A2_INPUT, words=[(1, 2), (2, 1)])
     assert not r.passed
 
 
 def test_word_independence_reports_the_variables_that_differ(monkeypatch):
     # Only the initial seed is kept of the graphs of the second words, so
-    # the A2 graph of (2, 1, 2) lacks the mutated variable theta*_1.
+    # the A2 graph of (2, 1, 2) lacks the mutated variable theta*_1.  The
+    # graph gets its word over the datum's indices, the orbits of C2.
     graph = verify.realized_exchange_graph
-    trimmed = {(2, 1, 2), (2, 1, 2, 1)}
+    trimmed = {(2, 1, 2), ((2,), (1, 3), (2,), (1, 3))}
     monkeypatch.setattr(
         verify, "realized_exchange_graph",
-        lambda datum, word, quiver, bound, context:
-            graph(datum, word, quiver, bound,
-                  context)[:1 if word in trimmed else None])
-    r = check_word_independence(A2_INPUT, (1, 2, 1), (2, 1, 2))
+        lambda datum, word, bound, context:
+            graph(datum, word, bound, context)[:1 if word in trimmed else None])
+    r = run("word_independence", A2_INPUT, words=[(1, 2, 1), (2, 1, 2)])
     assert r.to_json() == {
         "check": "word_independence",
         "instance": {"check": "word_independence", "input": A2_INPUT,
@@ -420,7 +435,8 @@ def test_word_independence_reports_the_variables_that_differ(monkeypatch):
                     "only_second": []}}
     # Four variables of the C2 graph are missing; the witness lists them
     # in the order of their sorted JSON.
-    r = check_word_independence(C2_QUIVER, (1, 2, 1, 2), (2, 1, 2, 1))
+    r = run("word_independence", C2_QUIVER,
+            words=[(1, 2, 1, 2), (2, 1, 2, 1)])
     assert r.details == "variable sets differ"
     assert r.witness == {"only_first": [
         {"weight": [1, 1], "terms": [{"word": [[1, 3], [2]], "coeff": "1"}]},
@@ -438,8 +454,7 @@ def test_realized_variables_qcommute_by_seed_lambda(input_spec, word, slow,
     # as the seed's Lambda, mutated on the cluster side, says.
     if slow and not slow_enabled:
         pytest.skip("needs --slow")
-    datum, quiver = resolve_input(input_spec)
-    for seed in realized_exchange_graph(datum, word, quiver):
+    for seed in realized(input_spec, word):
         labels = seed.pair.labels
         real = seed.variables
         for a, s in enumerate(labels):
@@ -455,13 +470,13 @@ def test_realization_matches_reference(input_spec, word, slow, slow_enabled):
     if slow and not slow_enabled:
         pytest.skip("needs --slow")
     datum, quiver = resolve_input(input_spec)
-    realized = realized_exchange_graph(datum, word, quiver)
+    shuffle_seeds = realized(input_spec, word)
     seeds, realizations = realization_reference.realized_exchange_graph(
-        datum, word, quiver)
-    assert [(s.pair, s.degrees) for s in realized] \
+        datum, resolve_word(datum, word, quiver))
+    assert [(s.pair, s.degrees) for s in shuffle_seeds] \
         == [(s.pair, s.degrees) for s in seeds]
-    assert [s.variables for s in realized] == realizations
-    for torus_seed, seed in zip(seeds, realized):
+    assert [s.variables for s in shuffle_seeds] == realizations
+    for torus_seed, seed in zip(seeds, shuffle_seeds):
         for k in seed.pair.exchangeable:
             assert mutate_seed(torus_seed, k) \
                 == realization_reference.mutate_seed(torus_seed, k)
@@ -481,27 +496,25 @@ def test_realization_matches_reference(input_spec, word, slow, slow_enabled):
 
 
 def test_realized_exchange_graph_bound():
-    datum, quiver = resolve_input(C2_QUIVER)
-    seeds = realized_exchange_graph(datum, (1, 2, 1, 2), quiver, bound=6)
+    seeds = realized(C2_QUIVER, (1, 2, 1, 2), bound=6)
     assert len(seeds) == 6
     with pytest.raises(RuntimeError, match="exchange graph exceeded bound"):
-        realized_exchange_graph(datum, (1, 2, 1, 2), quiver, bound=5)
+        realized(C2_QUIVER, (1, 2, 1, 2), bound=5)
 
 
 def test_realized_exchange_graph_memo_keeps_the_bound():
     # A complete graph is kept on the context; a lookup with a smaller
     # bound raises as the enumeration does, and an incomplete graph is
     # not kept.
-    datum, quiver = resolve_input(C2_QUIVER)
+    datum, _ = resolve_input(C2_QUIVER)
     context = OracleContext(datum)
     with pytest.raises(RuntimeError, match="exchange graph exceeded bound"):
-        realized_exchange_graph(datum, (1, 2, 1, 2), quiver, 5, context)
+        realized(C2_QUIVER, (1, 2, 1, 2), 5, context)
     assert context.graphs == {}
-    seeds = realized_exchange_graph(datum, (1, 2, 1, 2), quiver, 6, context)
-    assert realized_exchange_graph(datum, (1, 2, 1, 2), quiver, 200,
-                                   context) is seeds
+    seeds = realized(C2_QUIVER, (1, 2, 1, 2), 6, context)
+    assert realized(C2_QUIVER, (1, 2, 1, 2), 200, context) is seeds
     with pytest.raises(RuntimeError, match="exchange graph exceeded bound"):
-        realized_exchange_graph(datum, (1, 2, 1, 2), quiver, 5, context)
+        realized(C2_QUIVER, (1, 2, 1, 2), 5, context)
     assert len(context.graphs) == 1
 
 
@@ -533,8 +546,10 @@ def test_verify_call_realizes_each_exchange_graph_once(monkeypatch):
     contexts = {}
     for entry in entries:
         run_check(entry, contexts)
-    assert requested == [(1, 2, 1), (1, 2, 1, 2), (1, 2, 1), (2, 1, 2)]
-    assert built == [(1, 2, 1), (1, 2, 1, 2), (2, 1, 2)]
+    # The graph gets its word over the datum's indices, the orbits of C2.
+    c2_word = ((1, 3), (2,), (1, 3), (2,))
+    assert requested == [(1, 2, 1), c2_word, (1, 2, 1), (2, 1, 2)]
+    assert built == [(1, 2, 1), c2_word, (2, 1, 2)]
 
     def report(entry, contexts):
         try:
@@ -551,6 +566,52 @@ def test_verify_call_realizes_each_exchange_graph_once(monkeypatch):
         for entry in entries + load_catalog("catalog_slow.json") + [again]:
             entry = verify.bounded_entry(entry, max_steps)
             assert report(entry, contexts) == report(entry, None), entry
+
+
+def test_graph_memo_is_keyed_by_the_index_word(monkeypatch):
+    # C2 folded from A3 with opposite edge orientations, its word named by
+    # different vertices of the same orbits: one datum and one word over
+    # its indices, so one verify call builds the graph once.
+    built = []
+    enumerate_graph = verify.enumerate_exchange_graph
+    monkeypatch.setattr(verify, "enumerate_exchange_graph",
+                        lambda seed, bound: built.append(seed) or
+                        enumerate_graph(seed, bound))
+    flipped = {"quiver": dict(C2_QUIVER["quiver"], edges=[[2, 1], [2, 3]])}
+    contexts = {}
+    reports = [run("cluster_monomials", C2_QUIVER, contexts, word=(1, 2, 1, 2)),
+               run("cluster_monomials", flipped, contexts, word=(3, 2, 3, 2))]
+    assert [(r.status, r.details) for r in reports] \
+        == [("pass", "84 monomials over 6 seeds")] * 2
+    assert len(built) == 1
+
+
+def entry_field_errors(entry) -> list:
+    """What is wrong with a catalog entry's fields: an unknown kind, or
+    fields other than "check" and exactly its kind's fields in CHECKS."""
+    if entry.get("check") not in CHECKS:
+        return ["unknown check kind %r" % (entry.get("check"),)]
+    expected = {"check", *CHECKS[entry["check"]][1]}
+    return ["missing %r" % name for name in sorted(expected - set(entry))] \
+        + ["unknown %r" % name for name in sorted(set(entry) - expected)]
+
+
+@pytest.mark.parametrize("catalog", ["catalog_fast.json", "catalog_slow.json"])
+def test_catalog_entries_name_exactly_their_fields(catalog):
+    for entry in load_catalog(catalog):
+        assert entry_field_errors(entry) == [], entry
+
+
+def test_field_check_catches_a_misspelt_field():
+    # Negative control: run_check reads a misspelt max_exponent as absent
+    # and falls back to the default, so only the field check tells.
+    entry = {"check": "cluster_monomials", "input": A2_INPUT,
+             "word": [1, 2, 1], "max_exponet": 2}
+    assert entry_field_errors(entry) \
+        == ["missing 'max_exponent'", "unknown 'max_exponet'"]
+    assert run_check(entry).instance["max_exponent"] == 1
+    assert entry_field_errors({"check": "no_such_check"}) \
+        == ["unknown check kind 'no_such_check'"]
 
 
 def test_fast_catalog_all_pass():

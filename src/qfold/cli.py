@@ -237,8 +237,8 @@ def cmd_verify(config, args):
     reports = []
     contexts = {}
     for entry in entries:
-        entry = verify_mod.bounded_entry(entry, args.max_steps)
         try:
+            entry = verify_mod.bounded_entry(entry, args.max_steps)
             report = verify_mod.run_check(entry, contexts)
         except Exception as exc:  # surface as a failing report, CI-friendly
             report = verify_mod.VerificationReport(

@@ -151,8 +151,7 @@ def fold(quiver: QuiverWithAut) -> FoldedCartan:
 
 def underlying_datum(quiver: QuiverWithAut) -> CartanDatum:
     """The symmetric Cartan datum of the underlying graph, indexed by vertices."""
-    violations = [v for v in validate(QuiverWithAut(quiver.vertices, quiver.edges))
-                  if v.kind != "edges-not-preserved"]
+    violations = validate(QuiverWithAut(quiver.vertices, quiver.edges))
     if violations:
         raise InvalidQuiverError("; ".join(str(v) for v in violations))
     verts = tuple(sorted(quiver.vertices))

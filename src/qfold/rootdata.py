@@ -1,12 +1,14 @@
 """Symmetrizable Cartan data, weights, roots and Weyl-word machinery.
 
 Weights are stored in fundamental-weight coordinates, roots in simple-root
-coordinates.  Reflections act on both; the bilinear form pairs roots only.
-Weights never turn back into roots: every weight the package handles is an
-extremal weight w lambda, and lambda - w lambda is read off the word as an
-integer root (the letter content of its extremal F-word, or running sums of
-inversion roots).  Weyl group elements are only ever represented by words;
-equality of elements is equality of the action on all fundamental weights.
+coordinates; the bilinear form pairs roots only.  Weights never turn back
+into roots: every weight the package handles is an extremal weight w lambda,
+and lambda - w lambda is read off the word as an integer root (the letter
+content of its extremal F-word, or running sums of inversion roots).  Weyl
+group elements are only ever represented by words.  One pass along a word
+carries the images w(alpha_j) of the simple roots: it gives the inversion
+roots, reducedness and the extremal exponents, and its final images are the
+element's key, since W acts faithfully on the root lattice.
 """
 
 from __future__ import annotations
@@ -207,58 +209,33 @@ class Root(_Vector):
     def is_positive(self) -> bool:
         return all(c >= 0 for c in self.coords) and any(c > 0 for c in self.coords)
 
-    def coroot_pairing(self, i) -> int:
-        """<beta, alpha_i-check> = sum_j a_ij beta_j."""
-        datum = self.datum
-        r = datum.pos(i)
-        return sum(datum.cartan[r][c] * self.coords[c] for c in range(datum.rank))
-
-    def to_weight(self) -> Weight:
-        """Convert: omega-coordinates of beta are (A beta) with A the Cartan matrix."""
-        datum = self.datum
-        coords = tuple(
-            sum(datum.cartan[r][c] * self.coords[c] for c in range(datum.rank))
-            for r in range(datum.rank))
-        return Weight(datum, coords)
-
     def __repr__(self):
         return "Root%s" % (self.coords,)
-
-
-def reflect(v, i):
-    """Simple reflection s_i(v) = v - <v, alpha_i-check> alpha_i."""
-    datum = v.datum
-    pairing = v.coroot_pairing(i)
-    if isinstance(v, Root):
-        return v - pairing * datum.simple_root(i)
-    return v - pairing * datum.simple_root(i).to_weight()
-
-
-def apply_word(word, v):
-    """Apply s_{i1}...s_{in} to v (leftmost letter acts last)."""
-    for i in reversed(tuple(word)):
-        v = reflect(v, i)
-    return v
 
 
 def inversion_roots(datum, word):
     """The sequence beta_k = s_{i1}...s_{i_{k-1}} alpha_{i_k}.
 
     For a reduced word these are the distinct positive roots of Phi(w).
-    A non-reduced word shows up as a negative entry.  One pass carries the
-    images w(alpha_j) of the simple roots under the prefix w: beta_k is
-    the image of alpha_{i_k}, and appending s_i sends w(alpha_j) to
-    w(alpha_j) - a_ij w(alpha_i).
+    A non-reduced word shows up as a negative entry.
     """
+    return [Root(datum, beta) for beta in _word_pass(datum, word)[0]]
+
+
+def _word_pass(datum, word):
+    """(the coordinates of inversion_roots, the images w(alpha_j)) of a
+    word w = s_{i1}...s_{in}, in one pass that carries the images of the
+    simple roots under the prefix: beta_k is the image of alpha_{i_k}, and
+    appending s_i sends w(alpha_j) to w(alpha_j) - a_ij w(alpha_i)."""
     images = [datum.simple_root(j).coords for j in datum.indices]
     betas = []
     for i in word:
         r = datum.pos(i)
         image = images[r]
-        betas.append(Root(datum, image))
+        betas.append(image)
         images = [tuple(x - a * y for x, y in zip(old, image))
                   for a, old in zip(datum.cartan[r], images)]
-    return betas
+    return betas, tuple(images)
 
 
 def is_reduced(datum, word) -> bool:
@@ -304,34 +281,36 @@ def _check_roots(datum, roots):
 def extremal_exponents(lam: Weight, word):
     """Divided-power exponents c_k with v_{w lam} = F_{i1}^{(c1)}...F_{in}^{(cn)} v_lam.
 
-    c_k is the coroot pairing of alpha_{i_k} against s_{i_{k+1}}...s_{i_n} lam,
-    accumulated right to left.  Requires lam dominant and the word reduced.
+    c_k = <s_{i_{k+1}}...s_{i_n} lam, alpha_{i_k}-check> = sum_j lam_j d_j
+    gamma_kj / d_{i_k}, where gamma_k = s_{i_n}...s_{i_{k+1}} alpha_{i_k} are
+    the inversion roots of the reversed word, all positive exactly when the
+    word is reduced.  Requires lam dominant and the word reduced.
     """
     datum = lam.datum
     word = tuple(word)
     if not lam.is_dominant():
         raise ValueError("extremal exponents need a dominant weight")
-    if not is_reduced(datum, word):
+    gammas = inversion_roots(datum, word[::-1])[::-1]
+    if not all(gamma.is_positive() for gamma in gammas):
         raise ValueError("word %r is not reduced" % (word,))
-    exponents = [0] * len(word)
-    v = lam
-    for k in range(len(word) - 1, -1, -1):
-        i = word[k]
-        exponents[k] = v.coroot_pairing(i)
-        v = reflect(v, i)
-    if any(c < 0 for c in exponents):
-        raise AssertionError("negative extremal exponent; input invariants broken")
+    weights = tuple(map(mul, lam.coords, datum.symmetrizers))
+    exponents = []
+    for i, gamma in zip(word, gammas):
+        c, remainder = divmod(sum(map(mul, weights, gamma.coords)), datum.d(i))
+        if remainder or c < 0:
+            raise AssertionError("non-integral or negative extremal exponent; "
+                                 "input invariants broken")
+        exponents.append(c)
     return exponents
 
 
 def weyl_equal(datum: CartanDatum, word1, word2) -> bool:
-    """Equality of Weyl group elements given by words (action on all omega_i)."""
+    """Equality of Weyl group elements given by words (action on all alpha_j)."""
     return _weyl_key(datum, word1) == _weyl_key(datum, word2)
 
 
 def _weyl_key(datum, word):
-    return tuple(apply_word(word, datum.fundamental_weight(i)).coords
-                 for i in datum.indices)
+    return _word_pass(datum, word)[1]
 
 
 def is_finite_type(datum: CartanDatum) -> bool:

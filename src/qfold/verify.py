@@ -3,12 +3,13 @@ cluster combinatorics to the quantum-group oracle.
 
 A catalog entry names its check kind and that kind's fields; CHECKS says
 which fields each kind reads, with each field's one default or marked
-required.  run_check is the one place that reads them: it fills in the
-defaults (the report's instance), resolves the input, picks the oracle
-context and turns the check's outcome into a VerificationReport.  A check
-returns a pass's details or raises CheckFailed.  All comparisons are exact
-equality of canonical serializations; there are no tolerances anywhere.
-Instance catalogs are JSON data files shipped with the package.
+required.  run_check is the one place that reads them: it rejects any
+other field, fills in the defaults (the report's instance), resolves the
+input, picks the oracle context and turns the check's outcome into a
+VerificationReport.  A check returns a pass's details or raises
+CheckFailed.  All comparisons are exact equality of canonical
+serializations; there are no tolerances anywhere.  Instance catalogs are
+JSON data files shipped with the package.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .qcluster import (
 from .rootdata import (
     bilinear_form,
     cartan_datum,
+    datum_from_json,
     is_finite_type,
     is_reduced,
     weyl_elements,
@@ -109,7 +111,6 @@ def resolve_input(spec: dict):
         quiver = quiver_from_json(spec["quiver"])
         return fold(quiver).datum, quiver
     if "indices" in spec:
-        from .rootdata import datum_from_json
         return datum_from_json(spec), None
     raise ValueError("input descriptor needs 'type', 'quiver', or a raw "
                      "Cartan datum")
@@ -295,35 +296,29 @@ def check_restriction_factorization(entry, datum, quiver, context) -> str:
     return "%d tensor factors" % len(links)
 
 
-def check_dual_canonical_conditions(element: ShuffleElement) \
-        -> VerificationReport:
+def check_dual_canonical_conditions(element: ShuffleElement) -> str:
     """Element-level shadows of the dual-canonical-type axioms.
 
     (a) bar invariance, (b) the coefficient of the extremal word is the
     product of quantum factorials over its runs.  Together with the strips
     of extremal_word this says the iterated left skew derivatives along
     that word end at the unit; weight homogeneity is structural
-    (ShuffleElement enforces it)."""
-    instance = {"check": "dual_canonical"}
+    (ShuffleElement enforces it).  Returns the details or raises
+    CheckFailed, like a check."""
     datum = element.datum
     if element.is_zero():
-        return VerificationReport("dual_canonical", instance, "fail",
-                                  "zero element")
+        raise CheckFailed("zero element")
     if bar_element(element) != element:
-        return VerificationReport("dual_canonical", instance, "fail",
-                                  "not bar-invariant")
+        raise CheckFailed("not bar-invariant")
     word, runs = extremal_word(element)
     expected = ONE
     for letter, size in runs:
         expected = expected * q_factorial(size, datum.d(letter))
     if element.coefficient(word) != expected:
-        return VerificationReport(
-            "dual_canonical", instance, "fail",
-            "extremal word coefficient is %s, expected %s"
-            % (element.coefficient(word), expected),
-            {"word": list(word)})
-    return VerificationReport("dual_canonical", instance, "pass",
-                              "extremal word " + ",".join(str(x) for x in word))
+        raise CheckFailed("extremal word coefficient is %s, expected %s"
+                          % (element.coefficient(word), expected),
+                          {"word": list(word)})
+    return "extremal word " + ",".join(str(x) for x in word)
 
 
 def check_word_independence(entry, datum, quiver, context) -> str:
@@ -396,10 +391,12 @@ def check_cluster_monomials(entry, datum, quiver, context) -> str:
             if key in passed:
                 continue
             monomial = normalized_shuffle_monomial(a, seed)
-            report = check_dual_canonical_conditions(monomial)
-            if not report.passed:
-                raise CheckFailed(report.details, report.witness, exponents={
-                    str(k): v for k, v in a.items()})
+            try:
+                check_dual_canonical_conditions(monomial)
+            except CheckFailed as failure:
+                failure.instance["exponents"] = {str(k): v
+                                                 for k, v in a.items()}
+                raise
             passed.add(key)
     return "%d monomials over %d seeds" % (tested, len(seeds))
 
@@ -410,10 +407,11 @@ def check_negative_control(entry, datum, quiver, context) -> str:
     run_check gives it A2: the element is a minor of A2 times q."""
     d = minor_to_shuffle(MinorSpec(datum.fundamental_weight(2), (1, 2)),
                          context)
-    bad = d.scale(LaurentScalar.q_power(1))
-    if check_dual_canonical_conditions(bad).passed:
-        raise CheckFailed("perturbed element passed")
-    return "perturbed element failed as expected"
+    try:
+        check_dual_canonical_conditions(d.scale(LaurentScalar.q_power(1)))
+    except CheckFailed:
+        return "perturbed element failed as expected"
+    raise CheckFailed("perturbed element passed")
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +421,8 @@ def check_negative_control(entry, datum, quiver, context) -> str:
 REQUIRED = object()
 
 # kind -> (check, {field: default or REQUIRED}).  A missing required field
-# is a KeyError naming it, and the fields are read in this order.
+# is a KeyError naming it, and the fields are read in this order; a field
+# the kind does not read is a ValueError.
 CHECKS = {
     "initial_lambda": (check_initial_lambda,
                        {"input": REQUIRED, "word": REQUIRED}),
@@ -459,6 +458,10 @@ def run_check(entry: dict, contexts=None) -> VerificationReport:
     if kind not in CHECKS:
         raise ValueError("unknown check kind %r" % kind)
     check, fields = CHECKS[kind]
+    unknown = sorted(set(entry) - {"check", *fields})
+    if unknown:
+        raise ValueError("check kind %r reads no field %s"
+                         % (kind, ", ".join(map(repr, unknown))))
     instance = {"check": kind}
     for name, default in fields.items():
         instance[name] = entry[name] if default is REQUIRED \
@@ -478,8 +481,11 @@ def run_check(entry: dict, contexts=None) -> VerificationReport:
 
 
 def bounded_entry(entry: dict, max_steps) -> dict:
-    """The catalog entry with its graph bound capped at max_steps (None
-    leaves it as it is)."""
-    if max_steps is not None and "bound" in entry:
-        return dict(entry, bound=min(entry["bound"], max_steps))
-    return entry
+    """The entry of a kind with a graph bound (word_independence) with
+    that bound, given or the CHECKS default, capped at max_steps; any
+    other entry, or max_steps None, leaves it as it is."""
+    fields = CHECKS.get(entry.get("check"), (None, {}))[1]
+    if max_steps is None or "bound" not in fields:
+        return entry
+    return dict(entry, bound=min(entry.get("bound", fields["bound"]),
+                                 max_steps))

@@ -5,8 +5,10 @@ It builds and checks the normalized monomial of every exponent in every
 seed, so a monomial shared by several seeds is checked once per seed.  The
 function body is kept as it was before the check remembered its verdicts,
 except that a failing report names the cluster_monomials check, as the
-engine's does; it serves only the differential tests.  It calls qfold.verify through the
-module, so a test that patches realized_exchange_graph patches it here too.
+engine's does, and that it builds that report from the CheckFailed the
+element check raises; it serves only the differential tests.  It calls
+qfold.verify through the module, so a test that patches
+realized_exchange_graph patches it here too.
 """
 
 from __future__ import annotations
@@ -40,13 +42,14 @@ def check_cluster_monomials(input_spec, word, max_exponent=1):
                 combos.append(c)
         for a in combos:
             monomial = verify.normalized_shuffle_monomial(a, seed)
-            report = verify.check_dual_canonical_conditions(monomial)
             tested += 1
-            if not report.passed:
-                report.check = "cluster_monomials"
-                report.instance = dict(instance, exponents={str(k): v
-                                                            for k, v in a.items()})
-                return report
+            try:
+                verify.check_dual_canonical_conditions(monomial)
+            except verify.CheckFailed as failure:
+                return verify.VerificationReport(
+                    "cluster_monomials",
+                    dict(instance, exponents={str(k): v for k, v in a.items()}),
+                    "fail", failure.details, failure.witness)
     return verify.VerificationReport("cluster_monomials", instance, "pass",
                                      "%d monomials over %d seeds"
                                      % (tested, len(seeds)))

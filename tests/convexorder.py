@@ -19,7 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from qfold.rootdata import Root, apply_word, inversion_roots, is_reduced, positive_roots
+from qfold.rootdata import Root, inversion_roots, is_reduced, positive_roots
+from weyl_reference import apply_word
 
 
 class ConvexOrderError(ValueError):

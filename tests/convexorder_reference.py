@@ -15,7 +15,8 @@ import random
 from fractions import Fraction
 
 from convexorder import ConvexOrderError, _slope
-from qfold.rootdata import apply_word, inversion_roots, is_reduced, positive_roots
+from qfold.rootdata import inversion_roots, is_reduced, positive_roots
+from weyl_reference import apply_word
 
 
 def order_from_word(datum, word) -> tuple:

@@ -9,9 +9,10 @@ differential test on small types.
 
 from __future__ import annotations
 
-from qfold.rootdata import apply_word, weyl_elements
+from qfold.rootdata import weyl_elements
 from qfold.uqn import MinorSpec, minor_to_shuffle, theta_star
 from weights_reference import to_root
+from weyl_reference import apply_word
 
 
 def reference_name(datum, element, context):

@@ -27,7 +27,6 @@ from qfold.qcluster import (
     specialize_classical,
 )
 from qfold.rootdata import (
-    apply_word,
     bilinear_form,
     cartan_datum,
     longest_word,
@@ -40,6 +39,7 @@ from qfold.uqn import (
     shuffle_product,
 )
 from qfold.verify import oracle_seed_data, resolve_input, run_check
+from weyl_reference import apply_word
 
 C2_INPUT = {"quiver": {"vertices": [1, 2, 3], "edges": [[1, 2], [3, 2]],
                        "automorphism": {"1": 3, "2": 2, "3": 1}}}

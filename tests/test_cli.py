@@ -279,6 +279,38 @@ def test_verify_failure_exit_code(tmp_path, capsys):
     assert json.loads(out.strip().splitlines()[-1])["summary"]["failed"] == 1
 
 
+def test_verify_reports_a_field_its_check_does_not_read(tmp_path, capsys):
+    # A misspelt max_exponent is an error report naming the field and the
+    # kind, not a pass under the default max_exponent 1.
+    entry = {"check": "cluster_monomials", "input": {"type": ["A", 2]},
+             "word": [1, 2, 1], "max_exponet": 2}
+    path = _write(tmp_path, {"checks": [entry]})
+    code, out, _ = _run(capsys, ["verify", "--config", path])
+    report, summary = map(json.loads, out.splitlines())
+    assert (code, report["status"], report["instance"]) == (1, "fail", entry)
+    assert report["details"] == ("error: check kind 'cluster_monomials' "
+                                 "reads no field 'max_exponet'")
+    assert summary["summary"] == {"total": 1, "failed": 1}
+
+
+def test_max_steps_caps_a_word_independence_entry_without_bound(
+        tmp_path, capsys):
+    # The entry takes the default bound 200, and --max-steps caps it: at 1
+    # the walk stops at the first seed past the bound.
+    entry = {"check": "word_independence", "input": {"type": ["A", 2]},
+             "words": [[1, 2, 1], [2, 1, 2]]}
+    path = _write(tmp_path, {"checks": [entry]})
+    code, out, _ = _run(capsys, ["verify", "--config", path])
+    report = json.loads(out.splitlines()[0])
+    assert (code, report["instance"]["bound"]) == (0, 200)
+    code, out, _ = _run(capsys, ["verify", "--config", path,
+                                 "--max-steps", "1"])
+    report = json.loads(out.splitlines()[0])
+    assert report["instance"] == dict(entry, bound=1)
+    assert (code, report["details"]) \
+        == (1, "error: exchange graph exceeded bound")
+
+
 def test_initquiver_worked_figure_golden_dot(tmp_path, capsys):
     from pathlib import Path
     config = {"input": {"indices": [1, 2, 3],

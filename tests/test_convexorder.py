@@ -16,13 +16,13 @@ from convexorder import (
 )
 from qfold.rootdata import (
     CartanDatum,
-    apply_word,
     cartan_datum,
     inversion_roots,
     is_reduced,
     longest_word,
     positive_roots,
 )
+from weyl_reference import apply_word
 
 A2 = cartan_datum("A", 2)
 A3 = cartan_datum("A", 3)

@@ -92,6 +92,12 @@ def test_solver_verdicts_on_small_systems():
     assert uqn._solve_laurent_system([[ONE, ONE], [q, ZERO]], 1) is None
     assert uqn._solve_laurent_system([[ONE, ZERO, ONE]], 2) is None
     assert uqn._solve_laurent_system([[one_plus_q, ONE]], 1) is None
+    # Inconsistent after a pivot of 2 over two rows with multiplier zero,
+    # which the update still rescales by the pivot: unscaled, the next
+    # update divides -1 by 2.
+    two = ONE + ONE
+    assert uqn._solve_laurent_system(
+        [[ZERO, ONE, ZERO], [ZERO, ONE, ONE], [two, ZERO, ZERO]], 2) is None
 
 
 def test_verify_divisions_match_the_reference(monkeypatch, capsys, tmp_path):

@@ -7,11 +7,14 @@ import itertools
 
 import pytest
 
+import weyl_reference
 from qfold import initquiver, rootdata, uqn
+from qfold.folding import QuiverWithAut, fold
 from qfold.initquiver import initial_pair
-from qfold.rootdata import apply_word, cartan_datum, longest_word, weyl_elements
+from qfold.rootdata import CartanDatum, cartan_datum, longest_word, weyl_elements
 from qfold.uqn import MinorSpec, OracleContext, minor_to_shuffle
 from weights_reference import dominance_leq, to_root
+from weyl_reference import apply_word
 
 # (family, rank, needs --slow) of the differential tests.
 TYPES = [("A", 1, False), ("A", 2, False), ("A", 3, False), ("B", 2, False),
@@ -95,3 +98,53 @@ def test_realizing_a_built_spec_checks_no_word(monkeypatch):
     calls = _count_word_passes(monkeypatch)
     assert not minor_to_shuffle(spec, OracleContext(datum)).is_zero()
     assert calls == {"inversion_roots": 0, "is_reduced": 0}
+
+
+# The data of the extremal-exponent differential test, by name: finite
+# types, and the C2 and G2 that fold from A3 and D4.
+FOLDED = {
+    "C2/A3": QuiverWithAut((1, 2, 3), ((1, 2), (3, 2)), {1: 3, 2: 2, 3: 1}),
+    "G2/D4": QuiverWithAut((1, 2, 3, 4), ((1, 2), (3, 2), (4, 2)),
+                           {1: 3, 3: 4, 4: 1, 2: 2}),
+}
+EXPONENT_DATA = dict(
+    [("%s%d" % fr, cartan_datum(*fr)) for fr in
+     [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 3), ("C", 2), ("C", 3),
+      ("D", 4), ("G", 2)]]
+    + [(name, fold(quiver).datum) for name, quiver in FOLDED.items()])
+
+
+@pytest.mark.parametrize("name", sorted(EXPONENT_DATA))
+def test_extremal_exponents_match_the_reflections(name):
+    # Differential: c_k = (lambda, gamma_k) / d_{i_k} from the reversed
+    # word's inversion roots, against the coroot pairings of the reflected
+    # weight, for every BFS word and every omega_i and 2 omega_i.
+    datum = EXPONENT_DATA[name]
+    for word in weyl_elements(datum).values():
+        for lam in _dominant_weights(datum):
+            assert rootdata.extremal_exponents(lam, word) \
+                == weyl_reference.extremal_exponents(lam, word), (lam, word)
+
+
+def _outcome(function, *args):
+    try:
+        return function(*args)
+    except ValueError as exc:
+        return "ValueError: %s" % exc
+
+
+def test_extremal_exponents_match_the_reflections_on_affine_a1():
+    # Every word of length <= 6 over affine A1 (singular), reduced or not:
+    # the same exponents, or the same ValueError for a non-reduced word.
+    datum = CartanDatum((0, 1), ((2, -2), (-2, 2)), (1, 1))
+    weights = list(_dominant_weights(datum)) \
+        + [datum.fundamental_weight(0) + datum.fundamental_weight(1)]
+    refused = 0
+    for length in range(7):
+        for word in itertools.product(datum.indices, repeat=length):
+            for lam in weights:
+                outcome = _outcome(rootdata.extremal_exponents, lam, word)
+                assert outcome == _outcome(weyl_reference.extremal_exponents,
+                                           lam, word), (lam, word)
+                refused += isinstance(outcome, str)
+    assert refused

@@ -23,13 +23,8 @@ from qfold.initquiver import (
     vertex_orbits_from_unfolding,
 )
 from qfold.qcluster import CompatiblePair, mutate_pair
-from qfold.rootdata import (
-    CartanDatum,
-    apply_word,
-    cartan_datum,
-    is_reduced,
-    longest_word,
-)
+from qfold.rootdata import CartanDatum, cartan_datum, is_reduced, longest_word
+from weyl_reference import apply_word
 
 A2 = cartan_datum("A", 2)
 

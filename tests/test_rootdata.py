@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 import finite_type_reference
 from qfold.rootdata import (
     CartanDatum,
-    apply_word,
     bilinear_form,
     cartan_datum,
     datum_from_json,
@@ -28,12 +27,12 @@ from qfold.rootdata import (
     is_reduced,
     longest_word,
     positive_roots,
-    reflect,
     weyl_elements,
     weyl_equal,
 )
 from qfold.uqn import MinorSpec
 from qfold.verify import load_catalog, resolve_input
+from weyl_reference import apply_word, reflect, to_weight, weyl_key
 
 A2 = cartan_datum("A", 2)
 A3 = cartan_datum("A", 3)
@@ -77,12 +76,12 @@ def test_reflect_simple_cases():
     assert reflect(alpha2, 1) == alpha1 + alpha2
     assert reflect(alpha1, 1) == -alpha1
     omega1 = A2.fundamental_weight(1)
-    assert reflect(omega1, 1) == omega1 - alpha1.to_weight()
+    assert reflect(omega1, 1) == omega1 - to_weight(alpha1)
 
 
 def test_apply_word():
     omega2 = A2.fundamental_weight(2)
-    expected = omega2 - (A2.simple_root(1) + A2.simple_root(2)).to_weight()
+    expected = omega2 - to_weight(A2.simple_root(1) + A2.simple_root(2))
     assert apply_word((1, 2), omega2) == expected
     assert apply_word((), omega2) == omega2
     assert apply_word((1, 1), omega2) == omega2
@@ -322,6 +321,40 @@ def test_weyl_equal_and_longest():
     assert len(longest_word(A2)) == 3
     assert len(longest_word(A3)) == 6
     assert len(longest_word(G2)) == 6
+
+
+AFFINE_A1 = CartanDatum((0, 1), ((2, -2), (-2, 2)), (1, 1))
+
+
+@pytest.mark.parametrize("family, rank", [("A", 3), ("B", 3), ("G", 2)])
+def test_weyl_equal_matches_the_fundamental_weight_action(family, rank):
+    # Differential: the images of the simple roots against the reference
+    # action on every fundamental weight, on all pairs of BFS words, so
+    # each element is equal to itself only.
+    datum = cartan_datum(family, rank)
+    words = list(weyl_elements(datum).values())
+    keys = [weyl_key(datum, w) for w in words]
+    for (u, ku), (v, kv) in itertools.product(zip(words, keys), repeat=2):
+        assert weyl_equal(datum, u, v) == (ku == kv), (u, v)
+
+
+def test_weyl_equal_matches_the_fundamental_weight_action_on_affine_a1():
+    # Random words over affine A1, reduced or not, against the reference;
+    # half the pairs insert a letter twice into the first word, so they
+    # are equal elements.
+    rng = random.Random(27)
+    equal = 0
+    for _ in range(400):
+        u = tuple(rng.choice((0, 1)) for _ in range(rng.randint(0, 8)))
+        if rng.random() < 0.5:
+            k = rng.randint(0, len(u))
+            v = u[:k] + (rng.choice((0, 1)),) * 2 + u[k:]
+        else:
+            v = tuple(rng.choice((0, 1)) for _ in range(rng.randint(0, 8)))
+        expected = weyl_key(AFFINE_A1, u) == weyl_key(AFFINE_A1, v)
+        assert weyl_equal(AFFINE_A1, u, v) == expected, (u, v)
+        equal += expected
+    assert 150 < equal < 250
 
 
 def test_positive_roots_counts():

@@ -13,7 +13,6 @@ from qfold.laurent import ONE, ZERO, LaurentScalar, q_factorial
 from qfold.rootdata import (
     CartanDatum,
     Weight,
-    apply_word,
     bilinear_form,
     cartan_datum,
     weyl_elements,
@@ -39,6 +38,7 @@ from qfold.uqn import (
     words_of_weight,
 )
 from qfold.verify import resolve_input
+from weyl_reference import apply_word
 
 A1 = cartan_datum("A", 1)
 A2 = cartan_datum("A", 2)

@@ -30,7 +30,9 @@ from qfold.uqn import (
 )
 from qfold.verify import (
     CHECKS,
+    CheckFailed,
     _name_among_minors,
+    bounded_entry,
     check_dual_canonical_conditions,
     load_catalog,
     normalized_shuffle_monomial,
@@ -267,12 +269,12 @@ def test_dual_canonical_and_extremal_word():
     word, runs = extremal_word(d)
     assert word == (1, 2, 2)
     assert runs == [(1, 1), (2, 2)]
-    assert check_dual_canonical_conditions(d).passed
+    assert check_dual_canonical_conditions(d) == "extremal word 1,2,2"
     # The cuspidal minor with non-fundamental eta has the mirrored word.
     cusp = minor_to_shuffle(
         MinorSpec(datum.fundamental_weight(1), (1, 2, 1), (1,)), ctx)
     assert extremal_word(cusp)[0] == (2, 2, 1)
-    assert check_dual_canonical_conditions(cusp).passed
+    assert check_dual_canonical_conditions(cusp) == "extremal word 2,2,1"
 
 
 def test_negative_control_check():
@@ -287,9 +289,9 @@ def test_dual_canonical_coefficient_negative_control():
                          OracleContext(datum))
     doubled = d.scale(2)
     assert bar_element(doubled) == doubled
-    r = check_dual_canonical_conditions(doubled)
-    assert not r.passed
-    assert r.details == "extremal word coefficient is 2, expected 1"
+    with pytest.raises(CheckFailed) as failure:
+        check_dual_canonical_conditions(doubled)
+    assert failure.value.details == "extremal word coefficient is 2, expected 1"
 
 
 def test_cluster_monomials_a2():
@@ -603,15 +605,35 @@ def test_catalog_entries_name_exactly_their_fields(catalog):
 
 
 def test_field_check_catches_a_misspelt_field():
-    # Negative control: run_check reads a misspelt max_exponent as absent
-    # and falls back to the default, so only the field check tells.
+    # Negative control: a misspelt max_exponent is caught by the field
+    # check, and run_check refuses it instead of taking the default.
     entry = {"check": "cluster_monomials", "input": A2_INPUT,
              "word": [1, 2, 1], "max_exponet": 2}
     assert entry_field_errors(entry) \
         == ["missing 'max_exponent'", "unknown 'max_exponet'"]
-    assert run_check(entry).instance["max_exponent"] == 1
+    with pytest.raises(ValueError, match="check kind 'cluster_monomials' "
+                                         "reads no field 'max_exponet'"):
+        run_check(entry)
     assert entry_field_errors({"check": "no_such_check"}) \
         == ["unknown check kind 'no_such_check'"]
+
+
+def test_bounded_entry_caps_every_graph_bound():
+    # A word_independence entry is capped whether it gives its bound or
+    # leaves it to the CHECKS default; no other kind gains a bound.
+    words = [[1, 2, 1], [2, 1, 2]]
+    given = {"check": "word_independence", "input": A2_INPUT,
+             "words": words, "bound": 16}
+    default = {"check": "word_independence", "input": A2_INPUT,
+               "words": words}
+    assert bounded_entry(given, 5)["bound"] == 5
+    assert bounded_entry(given, 1000)["bound"] == 16
+    assert bounded_entry(default, 5)["bound"] == 5
+    assert bounded_entry(default, 1000)["bound"] == 200
+    assert bounded_entry(default, None) is default
+    for entry in load_catalog("catalog_fast.json"):
+        if entry["check"] != "word_independence":
+            assert bounded_entry(entry, 1) is entry
 
 
 def test_fast_catalog_all_pass():

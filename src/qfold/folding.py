@@ -150,18 +150,11 @@ def fold(quiver: QuiverWithAut) -> FoldedCartan:
 
 
 def underlying_datum(quiver: QuiverWithAut) -> CartanDatum:
-    """The symmetric Cartan datum of the underlying graph, indexed by vertices."""
-    violations = validate(QuiverWithAut(quiver.vertices, quiver.edges))
-    if violations:
-        raise InvalidQuiverError("; ".join(str(v) for v in violations))
-    verts = tuple(sorted(quiver.vertices))
-    index = {v: r for r, v in enumerate(verts)}
-    n = len(verts)
-    cartan = [[2 if r == c else 0 for c in range(n)] for r in range(n)]
-    for s, t in quiver.edges:
-        cartan[index[s]][index[t]] -= 1
-        cartan[index[t]][index[s]] -= 1
-    return CartanDatum(verts, tuple(tuple(row) for row in cartan), (1,) * n)
+    """The symmetric Cartan datum of the underlying graph: the fold under the
+    identity automorphism, its orbits (v,) relabelled v."""
+    datum = fold(QuiverWithAut(quiver.vertices, quiver.edges)).datum
+    return CartanDatum(tuple(v for (v,) in datum.indices), datum.cartan,
+                       datum.symmetrizers)
 
 
 def orbit_word(word, quiver: QuiverWithAut):
@@ -182,12 +175,6 @@ def unfold_word(word, quiver: QuiverWithAut):
     convention keeps downstream quivers reproducible.
     """
     return tuple(v for orbit in orbit_word(word, quiver) for v in orbit)
-
-
-def quiver_to_json(quiver: QuiverWithAut) -> dict:
-    return {"vertices": list(quiver.vertices),
-            "edges": [[s, t] for s, t in quiver.edges],
-            "automorphism": {str(v): quiver.automorphism[v] for v in quiver.vertices}}
 
 
 def quiver_from_json(data: dict) -> QuiverWithAut:

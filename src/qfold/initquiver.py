@@ -38,9 +38,6 @@ class IceQuiver:
     def row(self, t):
         return self.word[t - 1]
 
-    def exchangeable(self):
-        return tuple(t for t in self.positions if t not in self.frozen)
-
     def arrow_multiset(self):
         return {(s, d): m for s, d, m in self.arrows}
 
@@ -93,12 +90,6 @@ class ExchangeData:
     exchangeable: tuple  # the subset of labels that index columns
     matrix: tuple        # rows aligned with labels, columns with exchangeable
     sizes: tuple         # orbit sizes (skew-symmetrizers of the principal part)
-
-    def principal_part(self):
-        rows = [self.labels.index(s) for s in self.exchangeable]
-        return tuple(tuple(self.matrix[r][c]
-                           for c in range(len(self.exchangeable)))
-                     for r in rows)
 
 
 class OrbitCompatibilityError(ValueError):

@@ -32,7 +32,7 @@ from .laurent import (
     qpower_ratio,
     scale_terms,
 )
-from .rootdata import Root, bilinear_form, gram_matrix, gram_row
+from .rootdata import Root, gram_matrix, gram_row
 
 
 class CompatibilityError(ValueError):
@@ -76,9 +76,6 @@ class CompatiblePair:
 
     def lam_entry(self, s, t):
         return self.lam[self.pos(s)][self.pos(t)]
-
-    def b_entry(self, s, t):
-        return self.b[self.pos(s)][self.ex_pos(t)]
 
     @cached_property
     def e(self):
@@ -204,17 +201,10 @@ class QuantumTorus:
         The ambient bar satisfies bar(AB) = q^{(deg A, deg B)} bar(B) bar(A),
         so reversing the ordered monomial contributes the degree pairing of
         every factor pair, and restoring canonical order contributes
-        sigma(a, a).
+        sigma(a, a): together P(a)/2, twice monomial_prefactor's P/4, so
+        bar(q^{P/4} X^a) = q^{P/4} X^a.
         """
-        total = self.sigma(a, a)
-        g = self.degree_pairing
-        for i in range(len(a)):
-            if not a[i]:
-                continue
-            total += g[i][i] * (a[i] * (a[i] - 1) // 2)
-            for j in range(i):
-                total += g[i][j] * a[i] * a[j]
-        return total
+        return _half_prefactor(a, self.degree_pairing, self.lam)
 
     def element(self, terms) -> "TorusElement":
         return TorusElement(self, terms)
@@ -245,6 +235,7 @@ class TorusElement:
         return not self.terms
 
     def __add__(self, other):
+        _check_same_torus(self, other)
         return TorusElement(self.torus, add_terms(self.terms, other.terms))
 
     def __sub__(self, other):
@@ -256,6 +247,7 @@ class TorusElement:
     def __mul__(self, other) -> "TorusElement":
         """Coefficients accumulate as {exponent: int} per output
         exponent vector, which then gets one Laurent scalar."""
+        _check_same_torus(self, other)
         sigma = self.torus.sigma
         acc = {}
         for a, ca in self.terms.items():
@@ -313,6 +305,12 @@ class TorusElement:
         return " + ".join(bits)
 
 
+def _check_same_torus(x, y):
+    """TypeError unless x and y live in one torus (an object or its equal)."""
+    if x.torus is not y.torus and x.torus != y.torus:
+        raise TypeError("elements live in different quantum tori")
+
+
 def left_divide(divisor: TorusElement, dividend: TorusElement) -> TorusElement:
     """Solve divisor * Z = dividend exactly in the torus.
 
@@ -323,6 +321,7 @@ def left_divide(divisor: TorusElement, dividend: TorusElement) -> TorusElement:
     min(dividend) - min(divisor) <= t <= max(dividend) - max(divisor).  A
     candidate outside that finite box proves the division is not exact.
     """
+    _check_same_torus(divisor, dividend)
     torus = divisor.torus
     if divisor.is_zero():
         raise TorusDivisionError("division by zero")
@@ -453,23 +452,29 @@ def monomial_prefactor(a: dict, labels, degrees, lam) -> int:
     """The exponent P/4 of the q-power prefactor of the normalized monomial
     Y^a over ordered labels, with degrees d and q-commutation matrix lam:
     P = (sum a_i d_i, sum a_i d_i) - sum a_i (d_i, d_i)
-        + 2 sum_{i>j} a_i a_j lambda_ij;
+        + 2 sum_{i>j} a_i a_j lambda_ij = 2 _half_prefactor(a);
     the parity condition lambda_ij = (d_i, d_j) mod 2 makes P divisible by 4
     (ParityError otherwise), and the result does not depend on the ordering.
     """
-    datum = next(iter(degrees.values())).datum
-    total = Root(datum, (0,) * datum.rank)
-    for s in labels:
-        total = total + a[s] * degrees[s]
-    p = bilinear_form(total, total)
-    for s in labels:
-        p -= a[s] * bilinear_form(degrees[s], degrees[s])
-    for i in range(len(labels)):
-        for j in range(i):
-            p += 2 * a[labels[i]] * a[labels[j]] * lam[i][j]
+    support = [r for r, s in enumerate(labels) if a[s]]
+    p = 2 * _half_prefactor([a[labels[r]] for r in support],
+                            gram_matrix(degrees[labels[r]] for r in support),
+                            [[lam[r][c] for c in support] for r in support])
     if p % 4:
         raise ParityError("prefactor exponent %d is not divisible by 4" % p)
     return p // 4
+
+
+def _half_prefactor(a, g, lam) -> int:
+    """P(a)/2 = sum_i g_ii a_i (a_i - 1)/2 + sum_{i>j} (g_ij + lam_ij) a_i a_j
+    over the support of a, with g the degrees' Gram matrix, indexed like a."""
+    support = [i for i, x in enumerate(a) if x]
+    total = 0
+    for n, i in enumerate(support):
+        total += g[i][i] * (a[i] * (a[i] - 1) // 2)
+        for j in support[:n]:
+            total += (g[i][j] + lam[i][j]) * a[i] * a[j]
+    return total
 
 
 def normalized_monomial(a, seed: QuantumSeed):

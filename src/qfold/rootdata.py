@@ -361,21 +361,6 @@ def weyl_elements(datum: CartanDatum):
     return elements
 
 
-def positive_roots(datum: CartanDatum):
-    """All positive roots of a finite-type datum, via the longest element;
-    ValueError for an infinite Weyl group."""
-    longest = longest_word(datum)
-    return sorted(set(inversion_roots(datum, longest)),
-                  key=lambda beta: (beta.height(), beta.coords))
-
-
-def longest_word(datum: CartanDatum):
-    """A reduced word for the longest element of a finite Weyl group;
-    ValueError for an infinite one."""
-    words = weyl_elements(datum).values()
-    return max(words, key=len)
-
-
 def datum_to_json(datum: CartanDatum) -> dict:
     return {"indices": list(datum.indices),
             "cartan": [list(row) for row in datum.cartan],

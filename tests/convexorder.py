@@ -19,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from qfold.rootdata import Root, inversion_roots, is_reduced, positive_roots
-from weyl_reference import apply_word
+from qfold.rootdata import Root, inversion_roots, is_reduced
+from weyl_reference import apply_word, positive_roots
 
 
 class ConvexOrderError(ValueError):

@@ -15,8 +15,8 @@ import random
 from fractions import Fraction
 
 from convexorder import ConvexOrderError, _slope
-from qfold.rootdata import inversion_roots, is_reduced, positive_roots
-from weyl_reference import apply_word
+from qfold.rootdata import inversion_roots, is_reduced
+from weyl_reference import apply_word, positive_roots
 
 
 def order_from_word(datum, word) -> tuple:

@@ -10,6 +10,7 @@ only the differential test.
 
 from __future__ import annotations
 
+from pair_reference import b_entry
 from qfold.qcluster import (
     ExchangeGraph,
     QuantumSeed,
@@ -23,7 +24,7 @@ def mutate_seed(seed, k):
     variables = dict(seed.variables)
     variables[k] = mutated_variable(seed, k)
     degrees = dict(seed.degrees)
-    degrees[k] = sum((max(seed.pair.b_entry(t, k), 0) * seed.degrees[t]
+    degrees[k] = sum((max(b_entry(seed.pair, t, k), 0) * seed.degrees[t]
                       for t in seed.pair.labels), -seed.degrees[k])
     return QuantumSeed(mutate_pair(seed.pair, k), degrees, variables,
                        seed.unit)

@@ -46,4 +46,17 @@ MUTANTS = [
            "divmod(sum(map(mul, weights, gamma.coords)), 1)",
            "tests/test_extremal_weights.py::"
            "test_extremal_exponents_match_the_reflections[B3]"),
+    Mutant("the prefactor form counts a_i + 1 in place of a_i - 1",
+           "src/qfold/qcluster.py",
+           "g[i][i] * (a[i] * (a[i] - 1) // 2)",
+           "g[i][i] * (a[i] * (a[i] + 1) // 2)",
+           "tests/test_qcluster.py::"
+           "test_bar_twist_and_prefactor_match_the_reference[A3]"),
+    Mutant("underlying_datum folds by the quiver's own automorphism",
+           "src/qfold/folding.py",
+           "fold(QuiverWithAut(quiver.vertices, quiver.edges)).datum",
+           "fold(QuiverWithAut(quiver.vertices, quiver.edges,\n"
+           "                               quiver.automorphism)).datum",
+           "tests/test_folding.py::"
+           "test_underlying_datum_matches_the_reference_on_the_foldings"),
 ]

@@ -26,12 +26,7 @@ from qfold.qcluster import (
     mutate_pair,
     specialize_classical,
 )
-from qfold.rootdata import (
-    bilinear_form,
-    cartan_datum,
-    longest_word,
-    positive_roots,
-)
+from qfold.rootdata import bilinear_form, cartan_datum
 from qfold.uqn import (
     OracleContext,
     bar_element,
@@ -39,7 +34,7 @@ from qfold.uqn import (
     shuffle_product,
 )
 from qfold.verify import oracle_seed_data, resolve_input, run_check
-from weyl_reference import apply_word
+from weyl_reference import apply_word, longest_word, positive_roots
 
 C2_INPUT = {"quiver": {"vertices": [1, 2, 3], "edges": [[1, 2], [3, 2]],
                        "automorphism": {"1": 3, "2": 2, "3": 1}}}

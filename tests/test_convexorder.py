@@ -19,10 +19,8 @@ from qfold.rootdata import (
     cartan_datum,
     inversion_roots,
     is_reduced,
-    longest_word,
-    positive_roots,
 )
-from weyl_reference import apply_word
+from weyl_reference import apply_word, longest_word, positive_roots
 
 A2 = cartan_datum("A", 2)
 A3 = cartan_datum("A", 3)

@@ -4,6 +4,8 @@ step on every edge and keys seeds by their serialized variables."""
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 import exchange_graph_reference as reference
@@ -20,6 +22,7 @@ from qfold.qcluster import (
     mutate_seed,
 )
 from qfold.verify import resolve_input
+from weyl_reference import longest_word
 
 G2_FROM_D4 = {"quiver": {"vertices": [1, 2, 3, 4],
                          "edges": [[1, 2], [3, 2], [4, 2]],
@@ -227,3 +230,56 @@ def test_mixed_sign_c_vector_is_caught():
     with pytest.raises(CompatibilityError, match="sign-coherent"):
         mutate_seed(corrupted, 1)
     assert mutate_seed(corrupted, 2) == mutate_seed(seed, 2)
+
+
+B3_FROM_A5 = {"quiver": {"vertices": [1, 2, 3, 4, 5],
+                         "edges": [[1, 2], [3, 2], [3, 4], [5, 4]],
+                         "automorphism": {"1": 5, "2": 4, "3": 3, "4": 2,
+                                          "5": 1}}}
+
+
+def tropical_duality_failures(seed):
+    """The entries (s, t) where G^T D C differs from D on a seed (Nakanishi
+    and Zelevinsky, "On tropical dualities in cluster algebras"): D is the
+    diagonal of pair.e over the exchangeable labels, the columns of G are
+    the exchangeable labels' g-vectors restricted to the exchangeable
+    coordinates, and the columns of C are their c-vectors."""
+    pair = seed.pair
+    e = pair.e
+    rows = [pair.pos(r) for r in pair.exchangeable]
+    return [(s, t) for s in pair.exchangeable for t in pair.exchangeable
+            if sum(seed.g[s][row] * e[r] * c
+                   for row, r, c in zip(rows, pair.exchangeable, seed.c[t]))
+            != (e[s] if s == t else 0)]
+
+
+@pytest.mark.parametrize("input_spec, size, bound, slow", [
+    ({"type": ["A", 3]}, 14, 1000, False),
+    (A4_W0[0], 672, 1000, False),
+    (C2_QUIVER, 6, 1000, False),
+    (G2_FROM_D4, 60, 60, True),
+    (B3_FROM_A5, 60, 60, True),
+], ids=["A3", "A4", "C2/A3", "G2/D4", "B3/A5"])
+def test_g_and_c_vectors_are_tropically_dual(input_spec, size, bound, slow,
+                                             slow_enabled):
+    # The g-vectors and the c-vectors are separate records of every stored
+    # seed of the exchange graph of w0 (its first `bound` seeds).
+    if slow and not slow_enabled:
+        pytest.skip("needs --slow")
+    datum, _ = resolve_input(input_spec)
+    seeds = enumerate_exchange_graph(
+        initial_seed(*initial_pair(datum, longest_word(datum))), bound).seeds
+    assert len(seeds) == size
+    assert [k for k, seed in enumerate(seeds)
+            if tropical_duality_failures(seed)] == []
+
+
+def test_tropical_duality_check_catches_a_flipped_c_vector_entry():
+    seeds = enumerate_exchange_graph(
+        _initial_seed(C2_QUIVER, (1, 2, 1, 2))).seeds
+    for seed in (seeds[0], seeds[-1]):
+        assert tropical_duality_failures(seed) == []
+        c = dict(seed.c)
+        entry = next(i for i, x in enumerate(c[1]) if x)
+        c[1] = tuple(-x if i == entry else x for i, x in enumerate(c[1]))
+        assert tropical_duality_failures(dataclasses.replace(seed, c=c))

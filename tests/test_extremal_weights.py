@@ -11,10 +11,10 @@ import weyl_reference
 from qfold import initquiver, rootdata, uqn
 from qfold.folding import QuiverWithAut, fold
 from qfold.initquiver import initial_pair
-from qfold.rootdata import CartanDatum, cartan_datum, longest_word, weyl_elements
+from qfold.rootdata import CartanDatum, cartan_datum, weyl_elements
 from qfold.uqn import MinorSpec, OracleContext, minor_to_shuffle
 from weights_reference import dominance_leq, to_root
-from weyl_reference import apply_word
+from weyl_reference import apply_word, longest_word
 
 # (family, rank, needs --slow) of the differential tests.
 TYPES = [("A", 1, False), ("A", 2, False), ("A", 3, False), ("B", 2, False),

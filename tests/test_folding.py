@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import folding_reference
+from test_edge_kernels import outcome
 from qfold.folding import (
     InvalidQuiverError,
     QuiverWithAut,
     fold,
     quiver_from_json,
-    quiver_to_json,
     underlying_datum,
     unfold_word,
     validate,
@@ -134,7 +137,37 @@ def test_folded_matrix_symmetrizability():
 
 def test_quiver_json_roundtrip():
     q = d4_quiver()
-    back = quiver_from_json(quiver_to_json(q))
+    back = quiver_from_json(folding_reference.quiver_to_json(q))
     assert back.vertices == q.vertices
     assert back.edges == q.edges
     assert back.automorphism == q.automorphism
+
+
+def test_underlying_datum_matches_the_reference_on_the_foldings():
+    # The fold under the identity automorphism, whatever the quiver's own.
+    for q in (a3_quiver(), d4_quiver(), a5_quiver()):
+        assert underlying_datum(q) == folding_reference.underlying_datum(q)
+
+
+@st.composite
+def quivers(draw):
+    """Small quivers, valid or not: vertex labels may repeat, an edge may
+    be a loop or leave the vertex set, and the automorphism is a random
+    permutation of the labels.  About half of them keep to distinct
+    labels and loop-free edges inside the vertex set."""
+    strict = draw(st.booleans())
+    vertices = draw(st.lists(st.integers(0, 5), min_size=1 + strict,
+                             max_size=5, unique=strict))
+    ends = st.sampled_from(vertices if strict else vertices + [9])
+    edges = draw(st.lists(st.tuples(ends, ends).filter(
+        lambda e: not strict or e[0] != e[1]), max_size=6))
+    images = draw(st.permutations(vertices))
+    return QuiverWithAut(vertices, edges, dict(zip(vertices, images)))
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(quivers())
+def test_underlying_datum_matches_the_reference(q):
+    # The same datum, or the same exception type and message.
+    assert outcome(underlying_datum, q) \
+        == outcome(folding_reference.underlying_datum, q)

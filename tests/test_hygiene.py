@@ -2,8 +2,9 @@
 arithmetic modules use no true division and no float literal, the cluster
 calculus keeps to its layer, no module keeps a cache or a container that
 outlives a call, every function the benchmark's traced run wraps still
-exists, no module draws random numbers or imports fractions, and the CLI's
-config schema is a valid schema.
+exists, no module draws random numbers or imports fractions, every def
+of src/qfold has a caller in the engine, the demos or the benchmark, and
+the CLI's config schema is a valid schema.
 
 The first four and the import scans for random numbers and fractions are
 AST scans.  The import scan
@@ -338,6 +339,88 @@ def test_layer_check_catches_missing_functions():
               ("qfold.uqn", "NoSuchClass.method"),
               ("qfold.uqn", "ShuffleElement.__format__")]
     assert unpatchable(layers) == layers[1:]
+
+
+# Defs of src/qfold that no engine, demo or benchmark code calls but that
+# stay, each with its reason.
+UNCALLED_KEPT = {
+    "CartanDatum.root": "the checked constructor for root coordinates that "
+                        "come from outside the engine",
+}
+CALLERS = ("src", "demos", "perfbench")
+
+
+def defined_functions(path: Path):
+    """(qualname, name) of every module-level def and every method of a
+    module-level class, dunder methods left out."""
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name, node.name
+        elif isinstance(node, ast.ClassDef):
+            yield from (("%s.%s" % (node.name, item.name), item.name)
+                        for item in node.body
+                        if isinstance(item, (ast.FunctionDef,
+                                             ast.AsyncFunctionDef))
+                        and not (item.name.startswith("__")
+                                 and item.name.endswith("__")))
+
+
+def referenced_names(paths, traced: Path):
+    """Every name the modules read, as a bare name or an attribute, and
+    every dotted part of a string in traced (the benchmark's table of the
+    functions it wraps by name)."""
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.Constant) and path == traced \
+                    and isinstance(node.value, str):
+                names.update(node.value.split("."))
+    return names
+
+
+def uncalled_functions(defining, callers, traced: Path):
+    """(path, qualname) of every def of the defining modules whose name no
+    caller module reads."""
+    names = referenced_names(callers, traced)
+    return [(path, qualname) for path in defining
+            for qualname, name in defined_functions(path)
+            if name not in names]
+
+
+def test_engine_defines_only_what_it_calls():
+    callers = [path for folder in CALLERS
+               for path in sorted((ROOT / folder).rglob("*.py"))]
+    found = ["%s %s" % (path.relative_to(ROOT), qualname)
+             for path, qualname in uncalled_functions(
+                 sorted((ROOT / "src" / "qfold").glob("*.py")), callers,
+                 ROOT / "perfbench" / "layers.py")
+             if qualname not in UNCALLED_KEPT]
+    assert not found, "defs without an engine caller (move them to a " \
+        "tests/ reference module):\n" + "\n".join(found)
+
+
+def test_caller_scan_catches_a_def_without_a_caller(tmp_path):
+    engine = tmp_path / "engine.py"
+    engine.write_text(
+        "def used():\n    return 1\n\ndef unused():\n    return used()\n"
+        "\ndef traced():\n    pass\n\nclass C:\n"
+        "    def __init__(self):\n        self.x = 1\n"
+        "    def method(self):\n        return self.x\n"
+        "    def helper(self):\n        pass\n")
+    caller = tmp_path / "caller.py"
+    caller.write_text("from engine import C\nC().method()\nNAME = 'helper'\n")
+    table = tmp_path / "layers.py"
+    table.write_text("LAYERS = [('engine', 'traced')]\n")
+    # A def's own name does not count for it, and a string counts only in
+    # the table of traced functions.
+    assert uncalled_functions([engine], [engine, caller], table) == [
+        (engine, "unused"), (engine, "traced"), (engine, "C.helper")]
+    assert uncalled_functions([engine], [engine, caller, table], table) == [
+        (engine, "unused"), (engine, "C.helper")]
 
 
 def test_config_schema_is_valid():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import random
 from fractions import Fraction
 
@@ -9,8 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import prefactor_reference
 from pair_generators import random_compatible_pair, ungraded_torus
 from scalar_parser import parse_scalar
+from test_edge_kernels import outcome
+from qfold.folding import QuiverWithAut, fold
+from qfold.initquiver import initial_pair
 from qfold.laurent import ONE
 from qfold.qcluster import (
     CompatiblePair,
@@ -23,6 +28,7 @@ from qfold.qcluster import (
     enumerate_exchange_graph,
     initial_seed,
     left_divide,
+    monomial_prefactor,
     mutate_pair,
     mutate_seed,
     normalized_monomial,
@@ -30,7 +36,7 @@ from qfold.qcluster import (
     seed_to_json,
     specialize_classical,
 )
-from qfold.rootdata import cartan_datum, gram_matrix
+from qfold.rootdata import Root, cartan_datum, gram_matrix
 from qfold.uqn import qcommute_exponent
 
 A2 = cartan_datum("A", 2)
@@ -204,6 +210,27 @@ def test_left_divide():
         assert left_divide(a, a * z) == z
     with pytest.raises(TorusDivisionError):
         left_divide(torus.unit() + x1, torus.generator(2))
+
+
+def test_torus_operations_reject_an_element_of_another_torus():
+    # Another rank, or the same labels with another Lambda: the exponent
+    # vectors would be zipped against the wrong commutation matrix.
+    torus = ungraded_torus((1, 2), ((0, 1), (-1, 0)))
+    x = torus.generator(1) + torus.generator(2)
+    others = [ungraded_torus((1, 2, 3), ((0, 1, 0), (-1, 0, 1), (0, -1, 0))),
+              ungraded_torus((1, 2), ((0, 3), (-3, 0)))]
+    for other in others:
+        y = other.generator(1) + other.generator(2)
+        for u, v in ((x, y), (y, x)):
+            for operation in (lambda a, b: a + b, lambda a, b: a - b,
+                              lambda a, b: a * b, left_divide,
+                              lambda a, b: a.left_divide(b)):
+                with pytest.raises(TypeError, match="different quantum tori"):
+                    operation(u, v)
+    # An equal torus built apart is the same torus.
+    twin = ungraded_torus((1, 2), ((0, 1), (-1, 0)))
+    assert x + twin.generator(1) == x + torus.generator(1)
+    assert left_divide(x, x * twin.generator(2)) == torus.generator(2)
 
 
 def _three_generator_torus():
@@ -453,3 +480,80 @@ def test_seed_json_deterministic():
     b = seed_to_json(mutate_seed(a2_seed(), 1))
     assert a == b
     assert a["lambda"][0][1] == -1
+
+
+# The initial tori of the prefactor tests: (datum, reduced word) with the
+# folded data over their orbits.
+_A3_FLIP = QuiverWithAut((1, 2, 3), ((1, 2), (3, 2)), {1: 3, 2: 2, 3: 1})
+_D4_TRIALITY = QuiverWithAut((1, 2, 3, 4), ((1, 2), (3, 2), (4, 2)),
+                             {1: 3, 3: 4, 4: 1, 2: 2})
+INITIAL_TORI = {
+    "A3": (cartan_datum("A", 3), (1, 2, 1, 3, 2, 1)),
+    "A4": (cartan_datum("A", 4), (1, 2, 1, 3, 2, 1, 4, 3, 2, 1)),
+    "C2/A3": (fold(_A3_FLIP).datum, fold(_A3_FLIP).orbits * 2),
+    "G2/D4": (fold(_D4_TRIALITY).datum, fold(_D4_TRIALITY).orbits * 3),
+}
+
+
+def _initial_torus_seed(name):
+    return initial_seed(*initial_pair(*INITIAL_TORI[name]))
+
+
+@pytest.mark.parametrize("name", sorted(INITIAL_TORI))
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_bar_twist_and_prefactor_match_the_reference(name, data):
+    # The one integer form against the two hand-written ones, on exponent
+    # vectors of either sign: the bar twist of X^a is twice the prefactor.
+    seed = _initial_torus_seed(name)
+    torus, labels = seed.unit.torus, seed.pair.labels
+    a = data.draw(st.lists(st.integers(-3, 3), min_size=len(labels),
+                           max_size=len(labels)))
+    twist = torus.bar_twist(a)
+    assert twist == prefactor_reference.bar_twist(torus, a)
+    by_label = dict(zip(labels, a))
+    prefactor = monomial_prefactor(by_label, labels, seed.degrees,
+                                   seed.pair.lam)
+    assert prefactor == prefactor_reference.monomial_prefactor(
+        by_label, labels, seed.degrees, seed.pair.lam)
+    assert twist == 2 * prefactor
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(data=st.data())
+def test_prefactor_parity_error_matches_the_reference(data):
+    # Degrees and Lambda drawn freely, so the parity condition often fails:
+    # the same ParityError and message, or the same value.
+    datum = cartan_datum("C", 2)
+    labels = (1, 2, 3)
+    coords = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+    degrees = {s: Root(datum, data.draw(coords)) for s in labels}
+    upper = data.draw(st.lists(st.integers(-3, 3), min_size=3, max_size=3))
+    lam = [[0, upper[0], upper[1]], [-upper[0], 0, upper[2]],
+           [-upper[1], -upper[2], 0]]
+    a = dict(zip(labels, data.draw(st.lists(st.integers(0, 3), min_size=3,
+                                            max_size=3))))
+    assert outcome(monomial_prefactor, a, labels, degrees, lam) \
+        == outcome(prefactor_reference.monomial_prefactor,
+                   a, labels, degrees, lam)
+
+
+@functools.lru_cache(maxsize=None)
+def _stored_seeds(name):
+    return enumerate_exchange_graph(_initial_torus_seed(name)).seeds
+
+
+@pytest.mark.parametrize("name, size", [("A3", 14), ("C2/A3", 6)])
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_prefactor_matches_the_reference_on_every_stored_seed(name, size,
+                                                              data):
+    seeds = _stored_seeds(name)
+    assert len(seeds) == size
+    labels = seeds[0].pair.labels
+    a = dict(zip(labels, data.draw(st.lists(
+        st.integers(0, 3), min_size=len(labels), max_size=len(labels)))))
+    for seed in seeds:
+        assert monomial_prefactor(a, labels, seed.degrees, seed.pair.lam) \
+            == prefactor_reference.monomial_prefactor(
+                a, labels, seed.degrees, seed.pair.lam)

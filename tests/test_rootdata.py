@@ -25,14 +25,19 @@ from qfold.rootdata import (
     inversion_roots,
     is_finite_type,
     is_reduced,
-    longest_word,
-    positive_roots,
     weyl_elements,
     weyl_equal,
 )
 from qfold.uqn import MinorSpec
 from qfold.verify import load_catalog, resolve_input
-from weyl_reference import apply_word, reflect, to_weight, weyl_key
+from weyl_reference import (
+    apply_word,
+    longest_word,
+    positive_roots,
+    reflect,
+    to_weight,
+    weyl_key,
+)
 
 A2 = cartan_datum("A", 2)
 A3 = cartan_datum("A", 3)

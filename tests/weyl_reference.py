@@ -1,6 +1,7 @@
 """Reference Weyl-group action: simple reflections applied letter by letter
 to Weight and Root objects, as qfold.rootdata did before its extremal
-exponents and element keys were read off the one pass of inversion_roots.
+exponents and element keys were read off the one pass of inversion_roots,
+and the longest word and positive roots of a finite Weyl group.
 
 reflect and apply_word are kept as they were; coroot_pairing and to_weight
 were the Root methods of the same names (a Weight keeps its own
@@ -8,11 +9,20 @@ coroot_pairing, its i-th coordinate); extremal_exponents and weyl_key are
 the reflection-based rootdata.extremal_exponents and rootdata._weyl_key.
 They serve only the tests: as the definitions the engine's one-pass
 results are checked against, and to move weights and roots by a word.
+longest_word and positive_roots are rootdata's functions of those names,
+kept unchanged; no engine code calls them.
 """
 
 from __future__ import annotations
 
-from qfold.rootdata import Root, Weight, is_reduced
+from qfold.rootdata import (
+    CartanDatum,
+    Root,
+    Weight,
+    inversion_roots,
+    is_reduced,
+    weyl_elements,
+)
 
 
 def coroot_pairing(beta: Root, i) -> int:
@@ -73,3 +83,18 @@ def weyl_key(datum, word):
     """The action of a word on all fundamental weights."""
     return tuple(apply_word(word, datum.fundamental_weight(i)).coords
                  for i in datum.indices)
+
+
+def positive_roots(datum: CartanDatum):
+    """All positive roots of a finite-type datum, via the longest element;
+    ValueError for an infinite Weyl group."""
+    longest = longest_word(datum)
+    return sorted(set(inversion_roots(datum, longest)),
+                  key=lambda beta: (beta.height(), beta.coords))
+
+
+def longest_word(datum: CartanDatum):
+    """A reduced word for the longest element of a finite Weyl group;
+    ValueError for an infinite one."""
+    words = weyl_elements(datum).values()
+    return max(words, key=len)
